@@ -1,21 +1,26 @@
 // The one equilibrium-set aggregator shared by every census-style sweep:
 // the grid census (census_sweep), the materialized curve evaluator
-// (evaluate_poa_curve), and the sharded streaming breakpoint engine
-// (stream_poa_curve) all fold their per-topology contributions through
-// this type, so the three pipelines can never drift — including the
-// count == 0 edge cases, where averages and the price of stability report
-// as 0 while max_poa stays at its empty default.
+// (evaluate_poa_curve), and the streaming breakpoint engine
+// (stream_poa_curve) all fold their contributions through this type, so
+// the three pipelines can never drift — including the count == 0 edge
+// cases, where averages and the price of stability report as 0 while
+// max_poa stays at its empty default.
 //
 // Exactness/determinism contract: link counts and distance totals are
 // summed as INTEGERS and the PoA extremes tracked with min/max (which are
-// exactly associative and commutative over doubles), so the aggregate is
-// byte-identical no matter how topologies are sharded across threads or
-// in which order shards merge. The only floating-point arithmetic happens
-// once, in stats(), from the exact integer sums.
+// exactly associative, commutative and idempotent over doubles), so the
+// aggregate is byte-identical no matter how topologies are sharded across
+// threads, in which order shards merge, or whether m topologies with one
+// profile arrive as m single adds or as one weighted add. The only
+// floating-point arithmetic happens once, in stats(), from the exact
+// integer sums.
 #pragma once
 
 #include <algorithm>
 #include <limits>
+
+#include "util/contracts.hpp"
+#include "util/rational.hpp"
 
 namespace bnf {
 
@@ -42,6 +47,22 @@ struct equilibrium_accumulator {
     ++count;
     edge_sum += edges;
     distance_sum += distance_total;
+    poa_max = std::max(poa_max, poa);
+    poa_min = std::min(poa_min, poa);
+  }
+
+  /// `multiplicity` topologies sharing one profile: bit-identical to that
+  /// many single adds (a zero multiplicity leaves the accumulator as is).
+  /// The sums use checked arithmetic, so an overflow throws.
+  void add(double poa, int edges, long long distance_total,
+           long long multiplicity) {
+    expects(multiplicity >= 0,
+            "equilibrium_accumulator: multiplicity must be >= 0");
+    if (multiplicity == 0) return;
+    count = checked_add(count, multiplicity);
+    edge_sum = checked_add(edge_sum, checked_mul(edges, multiplicity));
+    distance_sum =
+        checked_add(distance_sum, checked_mul(distance_total, multiplicity));
     poa_max = std::max(poa_max, poa);
     poa_min = std::min(poa_min, poa);
   }

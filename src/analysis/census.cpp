@@ -1,7 +1,6 @@
 #include "analysis/census.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "analysis/topology_profile.hpp"
@@ -9,11 +8,7 @@
 #include "game/connection_game.hpp"
 #include "game/efficiency.hpp"
 #include "gen/enumerate.hpp"
-#include "graph/paths.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/contracts.hpp"
-#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bnf {
@@ -26,12 +21,6 @@ std::vector<census_point> census_sweep(int n, std::span<const double> taus,
   for (const double tau : taus) {
     expects(tau > 0, "census_sweep: total edge costs must be positive");
   }
-
-  // Stream the orderly generator shard by shard — nothing materialized,
-  // profiling overlaps generation.
-  constexpr std::size_t shard_count = 128;
-  const enumeration_plan plan(
-      n, shard_count, {.connected_only = true, .threads = options.threads});
 
   // Precompute the optimal social cost per grid point and game, plus the
   // exact rational value of each grid alpha (membership tests below are
@@ -62,92 +51,40 @@ std::vector<census_point> census_sweep(int n, std::span<const double> taus,
                  true, true};
   }
 
-  // Sharding is FIXED (independent of the thread count) and the exact
-  // accumulator is associative, so every downstream table and JSONL byte
-  // is identical whether the sweep runs on 1 thread or 64.
-  std::vector<std::vector<equilibrium_accumulator>> bcg_shard(
-      shard_count, std::vector<equilibrium_accumulator>(grid));
-  std::vector<std::vector<equilibrium_accumulator>> ucg_shard(
-      shard_count, std::vector<equilibrium_accumulator>(grid));
-
-  // Telemetry: registry references resolved once; each shard flushes one
-  // counter add and one histogram record, so the per-topology path stays
-  // untouched.
-  obs::counter& shards_done = obs::get_counter(obs::names::shards_done);
-  obs::counter& topologies_profiled =
-      obs::get_counter(obs::names::topologies_profiled);
-  obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_ms);
-  obs::histogram& shard_sizes =
-      obs::get_histogram(obs::names::shard_topologies);
-  obs::get_counter(obs::names::shards_planned).add(shard_count);
-
-  const int threads =
-      options.threads > 0 ? options.threads : default_thread_count();
-  parallel_for_chunks(shard_count, threads, [&](std::size_t shard_begin,
-                                                std::size_t shard_end) {
-    // One region-search arena per worker chunk: every topology in these
-    // shards reuses the same DFS scratch (ROADMAP micro-opt).
-    ucg_region_workspace scratch;
-    for (std::size_t shard = shard_begin; shard < shard_end; ++shard) {
-      obs::trace_span span("census.shard");
-      span.arg("shard", shard);
-      stopwatch shard_timer;
-      auto& bcg_local = bcg_shard[shard];
-      auto& ucg_local = ucg_shard[shard];
-      const std::uint64_t shard_topology_count =
-          plan.for_each_key(shard, [&](std::uint64_t key) {
-        const graph g = graph::from_key64(n, key);
-        // ONE stability analysis per topology; the grid loop below is
-        // pure exact interval membership, so the sweep's cost does not
-        // depend on how fine the tau grid is.
-        const topology_profile profile =
-            profile_topology(g, options.include_ucg, ucg_clamp, scratch);
-
-        for (std::size_t t = 0; t < grid; ++t) {
-          if (profile.bcg_interval.contains(alpha_bcg_exact[t])) {
-            const double alpha_bcg = taus[t] / 2.0;
-            const double social = 2.0 * alpha_bcg * profile.edges +
-                                  static_cast<double>(profile.distance_total);
-            bcg_local[t].add(social / opt_bcg[t], profile.edges,
-                             profile.distance_total);
-          }
-          if (options.include_ucg) {
-            if (profile.ucg.contains(alpha_ucg_exact[t])) {
-              const double alpha_ucg = taus[t];
-              const double social =
-                  alpha_ucg * profile.edges +
-                  static_cast<double>(profile.distance_total);
-              ucg_local[t].add(social / opt_ucg[t], profile.edges,
-                               profile.distance_total);
-            }
-          }
-        }
-      });
-      span.arg("topologies", shard_topology_count);
-      shards_done.add(1);
-      topologies_profiled.add(shard_topology_count);
-      shard_wall.record(
-          static_cast<std::uint64_t>(shard_timer.seconds() * 1000.0));
-      shard_sizes.record(shard_topology_count);
-    }
-  });
-
-  std::vector<equilibrium_accumulator> bcg_total(grid);
-  std::vector<equilibrium_accumulator> ucg_total(grid);
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    for (std::size_t t = 0; t < grid; ++t) {
-      bcg_total[t].merge(bcg_shard[shard][t]);
-      ucg_total[t].merge(ucg_shard[shard][t]);
-    }
-  }
+  // ONE stability analysis per topology, folded into the shared profile
+  // histogram; the grid loop below is pure exact interval membership over
+  // the distinct profiles, so the sweep's cost does not depend on how fine
+  // the tau grid is.
+  const profile_histogram histogram = build_profile_histogram(
+      n, {.include_ucg = options.include_ucg,
+          .ucg_clamp = ucg_clamp,
+          .threads = options.threads,
+          .shard_span = "census.shard"});
 
   std::vector<census_point> points(grid);
   for (std::size_t t = 0; t < grid; ++t) {
+    const double alpha_bcg = taus[t] / 2.0;
+    const double alpha_ucg = taus[t];
+    equilibrium_accumulator bcg;
+    equilibrium_accumulator ucg;
+    for (const profile_bin& bin : histogram.bins) {
+      const double dist = static_cast<double>(bin.distance_total);
+      if (bin.bcg_interval.contains(alpha_bcg_exact[t])) {
+        const double social = 2.0 * alpha_bcg * bin.edges + dist;
+        bcg.add(social / opt_bcg[t], bin.edges, bin.distance_total,
+                bin.multiplicity);
+      }
+      if (bin.ucg.contains(alpha_ucg_exact[t])) {
+        const double social = alpha_ucg * bin.edges + dist;
+        ucg.add(social / opt_ucg[t], bin.edges, bin.distance_total,
+                bin.multiplicity);
+      }
+    }
     points[t].tau = taus[t];
-    points[t].alpha_bcg = taus[t] / 2.0;
-    points[t].alpha_ucg = taus[t];
-    points[t].bcg = bcg_total[t].stats(taus[t], opt_bcg[t]);
-    points[t].ucg = ucg_total[t].stats(taus[t], opt_ucg[t]);
+    points[t].alpha_bcg = alpha_bcg;
+    points[t].alpha_ucg = alpha_ucg;
+    points[t].bcg = bcg.stats(taus[t], opt_bcg[t]);
+    points[t].ucg = ucg.stats(taus[t], opt_ucg[t]);
   }
   return points;
 }

@@ -13,11 +13,14 @@
 // equilibrium region is an exact rational interval (certificates from
 // equilibria/alpha_interval.hpp). The census therefore runs ONE stability
 // analysis per topology — compute_stability_record for the BCG,
-// ucg_nash_alpha_region for the UCG — and every grid point becomes a pure
-// interval-membership lookup: the sweep's cost is independent of the grid
-// resolution and no per-grid-point Nash search (and no epsilon slack)
-// is involved. analysis/poa_curve.hpp builds on the same records to
-// replace the grid entirely with exact breakpoints.
+// ucg_nash_alpha_region for the UCG — and folds the result into the
+// profile histogram of analysis/topology_profile.hpp, one pass over the
+// orderly generator. Every grid point is then a pure interval-membership
+// evaluation of the distinct profiles, weighted by their
+// multiplicities: the sweep's cost is independent of the grid resolution,
+// its memory of the census size, and no per-grid-point Nash search (and
+// no epsilon slack) is involved. analysis/poa_curve.hpp evaluates the same
+// histogram at exact breakpoints instead of a grid.
 #pragma once
 
 #include <span>
@@ -46,19 +49,19 @@ struct census_options {
 
 /// Run the full census at every total-edge-cost in `taus`.
 /// Requires 2 <= n <= max_enumeration_order (n=8 takes seconds; n=10,
-/// the paper's setting,
-/// takes minutes and ~1 GB as it walks 11.7M topologies). Performs one
-/// exact stability analysis per topology; `ucg_nash_search_invocations`
-/// does not advance (the tests pin this).
+/// the paper's setting, walks 11.7M topologies in minutes, holding only
+/// the profile histogram). Performs one exact stability analysis per
+/// topology; `ucg_nash_search_invocations` does not advance (the tests
+/// pin this).
 [[nodiscard]] std::vector<census_point> census_sweep(
     int n, std::span<const double> taus, const census_options& options = {});
 
 /// Per-topology census record for small n (<= 8): everything needed to
 /// re-derive both games' equilibrium sets at ANY link cost — grid point
 /// or exact rational breakpoint — without touching the graph again.
-/// Larger n (up to 10, the paper's setting) goes through the streaming
-/// engine in analysis/poa_curve.hpp, which aggregates the same profiles
-/// without materializing per-topology records.
+/// Larger n (up to 10, the paper's setting) goes through the profile
+/// histogram, which aggregates the same profiles without materializing
+/// per-topology records; these records stay as its small-n oracle.
 struct census_graph_record {
   std::uint64_t key{0};  // canonical key (order implied by the census)
   int edges{0};

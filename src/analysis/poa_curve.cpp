@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/topology_profile.hpp"
@@ -13,8 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
-#include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bnf {
 
@@ -177,113 +174,6 @@ poa_curve_summary summarize_poa_curve(const poa_curve& curve) {
 
 namespace {
 
-// Flat-arena profile record: both games' exact certificates plus the
-// social-cost integers, packed into 16 bytes. Bounds are generous for
-// n <= 10 — thresholds are hop-count deltas below ~2 * n^2 and UCG
-// denominators are deviation link-count differences below n — and the
-// packer verifies every one, falling back to the spill table rather than
-// truncating.
-struct packed_profile {
-  std::int16_t bcg_lo{0};
-  std::int16_t bcg_hi{0};
-  std::int16_t ucg_lo_num{0};
-  std::int16_t ucg_hi_num{0};
-  std::int16_t edges{0};
-  std::int16_t distance_total{0};
-  std::uint8_t ucg_lo_den{1};
-  std::uint8_t ucg_hi_den{1};
-  std::uint8_t flags{0};
-};
-
-constexpr std::uint8_t flag_bcg_lo_closed = 1;
-constexpr std::uint8_t flag_bcg_hi_closed = 2;
-constexpr std::uint8_t flag_bcg_hi_inf = 4;
-constexpr std::uint8_t flag_ucg_empty = 8;
-constexpr std::uint8_t flag_ucg_lo_closed = 16;
-constexpr std::uint8_t flag_ucg_hi_closed = 32;
-constexpr std::uint8_t flag_spill = 64;
-
-/// Full-fidelity fallback for the rare profile the packed form cannot
-/// hold (a multi-component UCG region, or an out-of-range field).
-struct spilled_profile {
-  int edges{0};
-  long long distance_total{0};
-  alpha_interval bcg_interval;
-  alpha_interval_set ucg;
-};
-
-bool fits_i16(long long value) { return value >= -32768 && value <= 32767; }
-
-/// Try to pack; false means the caller must spill. The packed form is
-/// lossless by construction: every stored field is range-checked and the
-/// unpacker reconstructs the identical rationals.
-bool pack_profile(const topology_profile& profile, packed_profile& out) {
-  if (!fits_i16(profile.edges) || !fits_i16(profile.distance_total)) {
-    return false;
-  }
-  out.edges = static_cast<std::int16_t>(profile.edges);
-  out.distance_total = static_cast<std::int16_t>(profile.distance_total);
-  out.flags = 0;
-
-  const alpha_interval& bcg = profile.bcg_interval;
-  if (bcg.lo.den != 1 || !fits_i16(bcg.lo.num)) return false;
-  out.bcg_lo = static_cast<std::int16_t>(bcg.lo.num);
-  if (bcg.lo_closed) out.flags |= flag_bcg_lo_closed;
-  if (bcg.hi.is_infinite()) {
-    out.flags |= flag_bcg_hi_inf;
-    out.bcg_hi = 0;
-  } else {
-    if (bcg.hi.den != 1 || !fits_i16(bcg.hi.num)) return false;
-    out.bcg_hi = static_cast<std::int16_t>(bcg.hi.num);
-  }
-  if (bcg.hi_closed) out.flags |= flag_bcg_hi_closed;
-
-  if (profile.ucg.empty()) {
-    out.flags |= flag_ucg_empty;
-    return true;
-  }
-  if (profile.ucg.parts().size() != 1) return false;
-  const alpha_interval& part = profile.ucg.parts().front();
-  if (!fits_i16(part.lo.num) || part.lo.den < 1 || part.lo.den > 255) {
-    return false;
-  }
-  out.ucg_lo_num = static_cast<std::int16_t>(part.lo.num);
-  out.ucg_lo_den = static_cast<std::uint8_t>(part.lo.den);
-  if (part.lo_closed) out.flags |= flag_ucg_lo_closed;
-  if (part.hi.is_infinite()) {
-    out.ucg_hi_num = 1;
-    out.ucg_hi_den = 0;
-  } else {
-    if (!fits_i16(part.hi.num) || part.hi.den < 1 || part.hi.den > 255) {
-      return false;
-    }
-    out.ucg_hi_num = static_cast<std::int16_t>(part.hi.num);
-    out.ucg_hi_den = static_cast<std::uint8_t>(part.hi.den);
-  }
-  if (part.hi_closed) out.flags |= flag_ucg_hi_closed;
-  return true;
-}
-
-alpha_interval unpack_bcg(const packed_profile& packed) {
-  alpha_interval interval;
-  interval.lo = rational{packed.bcg_lo, 1};
-  interval.lo_closed = (packed.flags & flag_bcg_lo_closed) != 0;
-  interval.hi = (packed.flags & flag_bcg_hi_inf) != 0
-                    ? rational::infinity()
-                    : rational{packed.bcg_hi, 1};
-  interval.hi_closed = (packed.flags & flag_bcg_hi_closed) != 0;
-  return interval;
-}
-
-alpha_interval unpack_ucg(const packed_profile& packed) {
-  alpha_interval part;
-  part.lo = rational{packed.ucg_lo_num, packed.ucg_lo_den};
-  part.lo_closed = (packed.flags & flag_ucg_lo_closed) != 0;
-  part.hi = rational{packed.ucg_hi_num, packed.ucg_hi_den};
-  part.hi_closed = (packed.flags & flag_ucg_hi_closed) != 0;
-  return part;
-}
-
 /// The evaluation grid shared by every row: exact alphas for membership,
 /// plus the double-precision evaluation constants (identical to the ones
 /// evaluate_poa_curve derives, so the two pipelines agree to the bit).
@@ -339,33 +229,33 @@ std::size_t range_end(std::span<const rational> alphas, const rational& hi,
   return static_cast<std::size_t>(it - alphas.begin());
 }
 
-/// Fold one topology into the per-row accumulators of its shard: a binary
+/// Fold one distinct profile into the per-row accumulators: a binary
 /// search finds the contiguous row range each certificate covers, then
-/// each covered row receives the topology's PoA at that row's exact
-/// evaluation point.
-void accumulate_topology(const row_grid& grid,
-                         const alpha_interval& bcg_interval,
-                         const alpha_interval_set& ucg, int edges,
-                         long long distance_total,
-                         std::vector<equilibrium_accumulator>& bcg_acc,
-                         std::vector<equilibrium_accumulator>& ucg_acc) {
-  const double dist = static_cast<double>(distance_total);
+/// each covered row receives the profile's PoA at that row's exact
+/// evaluation point, weighted by the profile's multiplicity.
+void accumulate_profile(const row_grid& grid, const profile_bin& bin,
+                        std::vector<equilibrium_accumulator>& bcg_acc,
+                        std::vector<equilibrium_accumulator>& ucg_acc) {
+  const double dist = static_cast<double>(bin.distance_total);
+  const alpha_interval& bcg_interval = bin.bcg_interval;
   if (!bcg_interval.empty()) {
     const std::size_t begin = range_begin(grid.alpha_bcg, bcg_interval.lo,
                                           bcg_interval.lo_closed);
     const std::size_t end =
         range_end(grid.alpha_bcg, bcg_interval.hi, bcg_interval.hi_closed);
     for (std::size_t r = begin; r < end; ++r) {
-      const double social = grid.bcg_edge_cost[r] * edges + dist;
-      bcg_acc[r].add(social / grid.opt_bcg[r], edges, distance_total);
+      const double social = grid.bcg_edge_cost[r] * bin.edges + dist;
+      bcg_acc[r].add(social / grid.opt_bcg[r], bin.edges, bin.distance_total,
+                     bin.multiplicity);
     }
   }
-  for (const alpha_interval& part : ucg.parts()) {
+  for (const alpha_interval& part : bin.ucg.parts()) {
     const std::size_t begin = range_begin(grid.tau, part.lo, part.lo_closed);
     const std::size_t end = range_end(grid.tau, part.hi, part.hi_closed);
     for (std::size_t r = begin; r < end; ++r) {
-      const double social = grid.ucg_edge_cost[r] * edges + dist;
-      ucg_acc[r].add(social / grid.opt_ucg[r], edges, distance_total);
+      const double social = grid.ucg_edge_cost[r] * bin.edges + dist;
+      ucg_acc[r].add(social / grid.opt_ucg[r], bin.edges, bin.distance_total,
+                     bin.multiplicity);
     }
   }
 }
@@ -377,134 +267,36 @@ poa_curve_summary stream_poa_curve(int n, const poa_stream_options& options) {
           "stream_poa_curve: requires 2 <= n <= " +
               std::to_string(max_enumeration_order));
 
-  // The orderly generator replaces the materialized key vector: each of
-  // the engine's fixed 128 shards streams its own classes straight out of
-  // canonical augmentation, so pass 1 overlaps generation with profiling
-  // and the enumeration phase disappears as a separate cost.
-  const int threads =
-      options.threads > 0 ? options.threads : default_thread_count();
-  constexpr std::size_t shard_count = 128;
-  const enumeration_plan plan(
-      n, shard_count, {.connected_only = true, .threads = options.threads});
-
-  // The census size is known exactly up front (OEIS A001349, verified by
-  // an ensures below), so the cache-vs-two-pass decision needs no
-  // enumeration of its own.
-  const std::uint64_t expected =
-      known_connected_graph_counts[static_cast<std::size_t>(n)];
-  const std::size_t cache_bytes =
-      static_cast<std::size_t>(expected) * sizeof(packed_profile);
-  const bool cache_profiles = cache_bytes <= options.memory_budget;
+  // One profiling pass: every topology is profiled once, as the orderly
+  // generator emits it, into the per-shard profile histograms. The full
+  // UCG region (no clamp) is kept, since the breakpoint list needs every
+  // threshold.
+  const profile_histogram histogram = build_profile_histogram(
+      n, {.include_ucg = options.include_ucg,
+          .threads = options.threads,
+          .shard_span = "poa.pass1.shard"});
+  ensures(histogram.topologies ==
+              known_connected_graph_counts[static_cast<std::size_t>(n)],
+          "stream_poa_curve: census size mismatch vs OEIS A001349 — orderly "
+          "generator bug");
+  obs::get_counter(obs::names::profile_arena_bytes).add(histogram.bytes);
 
   poa_curve_summary summary;
   summary.n = n;
-  summary.profile_passes = cache_profiles ? 1 : 2;
-  summary.profile_cache_bytes = cache_profiles ? cache_bytes : 0;
+  summary.topologies = histogram.topologies;
+  summary.distinct_profiles = histogram.bins.size();
 
-  // --- pass 1: profile every topology once, as it is generated; collect
-  // the rational thresholds into per-shard sorted sets (and pack the
-  // certificates into per-shard flat arenas when they fit the budget).
-  std::vector<std::vector<packed_profile>> arena(cache_profiles ? shard_count
-                                                                : 0);
-  std::vector<std::unordered_map<std::uint64_t, spilled_profile>> spill_shard(
-      shard_count);
-  std::vector<std::vector<poa_breakpoint>> threshold_shard(shard_count);
-  std::vector<std::uint64_t> count_shard(shard_count, 0);
-
-  // Telemetry: resolve the registry references once, outside the hot
-  // loops — counter updates inside the shard bodies are then single
-  // relaxed atomic adds, flushed at per-shard granularity.
-  obs::counter& shards_planned = obs::get_counter(obs::names::shards_planned);
-  obs::counter& shards_done = obs::get_counter(obs::names::shards_done);
-  obs::counter& topologies_profiled =
-      obs::get_counter(obs::names::topologies_profiled);
-  obs::counter& arena_bytes = obs::get_counter(obs::names::profile_arena_bytes);
-  obs::counter& profile_spills = obs::get_counter(obs::names::profile_spills);
-  obs::counter& spill_hits = obs::get_counter(obs::names::spill_hits);
-  obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_ms);
-  obs::histogram& shard_sizes =
-      obs::get_histogram(obs::names::shard_topologies);
-  shards_planned.add(2 * shard_count);  // both passes walk every shard
-
-  parallel_for_chunks(
-      shard_count, threads, [&](std::size_t shard_begin,
-                                std::size_t shard_end) {
-        // Per-thread scratch arenas: one region-search workspace for every
-        // topology this worker profiles.
-        ucg_region_workspace scratch;
-        for (std::size_t shard = shard_begin; shard < shard_end; ++shard) {
-          obs::trace_span span("poa.pass1.shard");
-          span.arg("shard", shard);
-          stopwatch shard_timer;
-          auto& thresholds = threshold_shard[shard];
-          if (cache_profiles) {
-            arena[shard].reserve(
-                static_cast<std::size_t>(expected / shard_count + 64));
-          }
-          count_shard[shard] = plan.for_each_key(shard, [&](std::uint64_t
-                                                                key) {
-            const graph g = graph::from_key64(n, key);
-            // Full region, no clamp: the breakpoint list needs every
-            // threshold.
-            topology_profile profile = profile_topology(
-                g, options.include_ucg, alpha_interval{}, scratch);
-            note_profile_breakpoints(thresholds, profile.bcg_interval,
-                                     profile.ucg);
-            if (cache_profiles) {
-              packed_profile packed;
-              if (!pack_profile(profile, packed)) {
-                packed.flags = flag_spill;
-                spill_shard[shard].emplace(
-                    arena[shard].size(),
-                    spilled_profile{profile.edges, profile.distance_total,
-                                    profile.bcg_interval,
-                                    std::move(profile.ucg)});
-              }
-              arena[shard].push_back(packed);
-            }
-          });
-          thresholds = merge_breakpoints(std::move(thresholds));
-          span.arg("topologies", count_shard[shard]);
-          shards_done.add(1);
-          topologies_profiled.add(count_shard[shard]);
-          if (cache_profiles) {
-            arena_bytes.add(arena[shard].size() * sizeof(packed_profile));
-            profile_spills.add(spill_shard[shard].size());
-          }
-          shard_wall.record(static_cast<std::uint64_t>(
-              shard_timer.seconds() * 1000.0));
-          shard_sizes.record(count_shard[shard]);
-        }
-      });
-
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    summary.topologies += count_shard[shard];
-  }
-  ensures(summary.topologies == expected,
-          "stream_poa_curve: census size mismatch vs OEIS A001349 — orderly "
-          "generator bug");
-
-  // Merge the per-shard threshold sets in fixed shard order. The merged
-  // list depends only on the union of the sets, so it is identical across
-  // thread counts — and identical to the record path's list, which notes
-  // the same thresholds from the same profiles.
+  // The thresholds of the distinct profiles are exactly the thresholds of
+  // all topologies, so the merged list is the record path's list.
   {
     obs::trace_span merge_span("poa.merge_breakpoints");
     std::vector<poa_breakpoint> all_thresholds;
-    for (std::size_t shard = 0; shard < shard_count; ++shard) {
-      all_thresholds.insert(all_thresholds.end(),
-                            threshold_shard[shard].begin(),
-                            threshold_shard[shard].end());
-      threshold_shard[shard].clear();
-      threshold_shard[shard].shrink_to_fit();
+    for (const profile_bin& bin : histogram.bins) {
+      note_profile_breakpoints(all_thresholds, bin.bcg_interval, bin.ucg);
     }
     summary.breakpoints = merge_breakpoints(std::move(all_thresholds));
     merge_span.arg("breakpoints",
                    static_cast<std::uint64_t>(summary.breakpoints.size()));
-  }
-
-  for (const auto& shard_map : spill_shard) {
-    summary.spilled_profiles += shard_map.size();
   }
 
   // --- the evaluation grid: one row per segment probe and per breakpoint,
@@ -517,79 +309,19 @@ poa_curve_summary stream_poa_curve(int n, const poa_stream_options& options) {
     }
   }
 
-  // --- pass 2: accumulate per-row statistics, either straight from the
-  // profile cache or by re-streaming (re-profiling) the topologies.
-  std::vector<std::vector<equilibrium_accumulator>> bcg_shard(
-      shard_count, std::vector<equilibrium_accumulator>(grid.size()));
-  std::vector<std::vector<equilibrium_accumulator>> ucg_shard(
-      shard_count, std::vector<equilibrium_accumulator>(grid.size()));
-
-  parallel_for_chunks(
-      shard_count, threads, [&](std::size_t shard_begin,
-                                std::size_t shard_end) {
-        ucg_region_workspace scratch;
-        alpha_interval_set unpacked_ucg;  // reused across topologies
-        for (std::size_t shard = shard_begin; shard < shard_end; ++shard) {
-          obs::trace_span span("poa.pass2.shard");
-          span.arg("shard", shard);
-          stopwatch shard_timer;
-          std::uint64_t shard_spill_hits = 0;
-          auto& bcg_acc = bcg_shard[shard];
-          auto& ucg_acc = ucg_shard[shard];
-          if (cache_profiles) {
-            // Replay the shard's arena in generation order; spilled entries
-            // are keyed by their local arena index.
-            const auto& shard_arena = arena[shard];
-            const auto& shard_spill = spill_shard[shard];
-            for (std::size_t i = 0; i < shard_arena.size(); ++i) {
-              const packed_profile& packed = shard_arena[i];
-              if ((packed.flags & flag_spill) != 0) {
-                const spilled_profile& full = shard_spill.at(i);
-                ++shard_spill_hits;
-                accumulate_topology(grid, full.bcg_interval, full.ucg,
-                                    full.edges, full.distance_total, bcg_acc,
-                                    ucg_acc);
-                continue;
-              }
-              unpacked_ucg.clear();
-              if ((packed.flags & flag_ucg_empty) == 0) {
-                unpacked_ucg.add(unpack_ucg(packed));
-              }
-              accumulate_topology(grid, unpack_bcg(packed), unpacked_ucg,
-                                  packed.edges, packed.distance_total, bcg_acc,
-                                  ucg_acc);
-            }
-          } else {
-            // Two-pass mode: re-stream the generator — regeneration plus
-            // re-profiling trades time for the arena's memory.
-            plan.for_each_key(shard, [&](std::uint64_t key) {
-              const graph g = graph::from_key64(n, key);
-              const topology_profile profile = profile_topology(
-                  g, options.include_ucg, alpha_interval{}, scratch);
-              accumulate_topology(grid, profile.bcg_interval, profile.ucg,
-                                  profile.edges, profile.distance_total,
-                                  bcg_acc, ucg_acc);
-            });
-          }
-          shards_done.add(1);
-          if (shard_spill_hits > 0) spill_hits.add(shard_spill_hits);
-          shard_wall.record(static_cast<std::uint64_t>(
-              shard_timer.seconds() * 1000.0));
-        }
-      });
-
-  // Fixed-order shard merge; the accumulator is exactly associative, so
-  // this is byte-stable no matter how the shards were scheduled.
-  obs::trace_span reduce_span("poa.reduce");
+  // Accumulate every row once per distinct profile. The span keeps the
+  // name of the former per-shard accumulation pass, which the benchmark
+  // tooling sums as the accumulation time.
   std::vector<equilibrium_accumulator> bcg_total(grid.size());
   std::vector<equilibrium_accumulator> ucg_total(grid.size());
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    for (std::size_t r = 0; r < grid.size(); ++r) {
-      bcg_total[r].merge(bcg_shard[shard][r]);
-      ucg_total[r].merge(ucg_shard[shard][r]);
+  {
+    obs::trace_span accumulate_span("poa.pass2.shard");
+    for (const profile_bin& bin : histogram.bins) {
+      accumulate_profile(grid, bin, bcg_total, ucg_total);
     }
   }
 
+  obs::trace_span reduce_span("poa.reduce");
   summary.rows.reserve(grid.size());
   for (std::size_t r = 0; r < grid.size(); ++r) {
     poa_curve_row row;

@@ -15,21 +15,17 @@
 //     then evaluate_poa_curve answers ANY tau from the cached intervals —
 //     the convenience path for interactive queries and small n.
 //   * stream_poa_curve (n up to max_enumeration_order; n = 10 is the
-//     paper's full 11.7M-topology setting): a sharded streaming engine
-//     that never materializes records — or even the key vector. Each of
-//     128 fixed shards streams its classes straight out of the orderly
-//     canonical-augmentation generator (gen/enumerate.hpp), so pass 1
-//     profiles each topology as it is generated (per-thread region-search
-//     arenas) and collects only the rational thresholds into per-shard
-//     sorted sets merged in fixed shard order; the per-segment and
-//     on-breakpoint
-//     statistics are then accumulated either from a compact flat-arena
-//     profile cache (when it fits options.memory_budget — profiles are
-//     nearly always single-interval, so they pack into 16 bytes inline
-//     with a rare spill table) or by re-streaming the topologies in a
-//     second profiling pass. Aggregation uses the exact integer
-//     accumulator of analysis/accumulator.hpp, so the output is identical
-//     across thread counts, memory budgets, and the two pipelines.
+//     paper's full 11.7M-topology setting): one profiling pass that never
+//     materializes records — or even the key vector. It profiles every
+//     topology once, straight out of the orderly generator, into the
+//     sharded profile histogram of analysis/topology_profile.hpp (distinct
+//     profile -> multiplicity; 982 entries for the n = 10 BCG census). The
+//     breakpoints come from the distinct profiles' thresholds, and every
+//     row is accumulated once per distinct profile, weighted by its
+//     multiplicity, through the exact integer accumulator of
+//     analysis/accumulator.hpp. The output is therefore identical across
+//     thread counts and to the record pipeline, and memory grows with the
+//     number of distinct profiles, not with the census.
 #pragma once
 
 #include <cstddef>
@@ -92,16 +88,6 @@ struct poa_curve {
 struct poa_stream_options {
   bool include_ucg{true};
   int threads{0};  // 0 = hardware concurrency
-  /// Byte budget for the flat-arena profile cache (16 bytes per
-  /// topology). When the packed per-topology profiles fit, the engine
-  /// accumulates the statistics straight from the cache (one profiling
-  /// pass); otherwise it re-streams the topologies for the accumulation
-  /// pass (two profiling passes, ~1/20th of the memory). The budget
-  /// gates the packed arena; the spill table for profiles that do not
-  /// pack is unbudgeted but empirically empty for n <= 10 (the summary
-  /// reports its size). The default admits the paper's n = 10 census
-  /// (~11.7M profiles, ~180 MB) with room to spare.
-  std::size_t memory_budget{std::size_t{1} << 29};
 };
 
 /// One evaluated row of the piecewise census: rows alternate open
@@ -122,21 +108,15 @@ struct poa_curve_summary {
   std::uint64_t topologies{0};
   std::vector<poa_breakpoint> breakpoints;
   std::vector<poa_curve_row> rows;
-  /// 1 when the profile cache fit the budget, 2 when the topologies were
-  /// re-profiled for the accumulation pass.
-  int profile_passes{1};
-  /// Bytes the profile cache held (0 in two-pass mode).
-  std::size_t profile_cache_bytes{0};
-  /// Profiles that did not fit the 16-byte packed form and went to the
-  /// full-fidelity spill table instead (0 for every n <= 10 census run
-  /// to date; spill memory is outside the budget).
-  std::uint64_t spilled_profiles{0};
+  /// Bins of the streaming engine's profile histogram (0 on the record
+  /// path, which keeps one record per topology).
+  std::uint64_t distinct_profiles{0};
 };
 
 /// Run the sharded streaming breakpoint engine. Requires
 /// 2 <= n <= max_enumeration_order. Output is byte-identical to
 /// summarize_poa_curve(build_poa_curve(n)) wherever both are defined, and
-/// across thread counts and memory budgets.
+/// across thread counts.
 [[nodiscard]] poa_curve_summary stream_poa_curve(
     int n, const poa_stream_options& options = {});
 

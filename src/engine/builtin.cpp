@@ -117,24 +117,16 @@ class poa_curve_scenario final : public scenario {
                  "number of players (streaming engine: n <= " +
                      std::to_string(max_enumeration_order) +
                      "; n = 10 is the paper's full census)");
-    args.add_int("memory-budget", 512,
-                 "profile-cache budget in MiB; when the packed profiles "
-                 "fit, the topologies are enumerated once, otherwise "
-                 "twice");
     args.add_flag("skip-ucg", "only compute the BCG curve (much faster)");
   }
 
   int run(run_context& ctx) const override {
     const int n = static_cast<int>(ctx.args.get_int("n"));
-    const long long budget_mib = ctx.args.get_int("memory-budget");
-    expects(budget_mib >= 0, "poa-curve: --memory-budget must be >= 0 MiB");
-    const std::size_t budget = static_cast<std::size_t>(budget_mib) << 20;
 
     stopwatch timer;
     const poa_curve_summary curve = stream_poa_curve(
         n, {.include_ucg = !ctx.args.get_flag("skip-ucg"),
-            .threads = ctx.threads,
-            .memory_budget = budget});
+            .threads = ctx.threads});
 
     ctx.out << "=== Breakpoint-exact census curves (n=" << n << ", "
             << curve.topologies << " topologies, "
@@ -152,9 +144,7 @@ class poa_curve_scenario final : public scenario {
                "time: "
             << fmt_double(timer.seconds(), 2) << " s ("
             << "one stability analysis per topology, grid-free, "
-            << (curve.profile_passes == 1 ? "cached profiles"
-                                          : "two streaming passes")
-            << ")\n";
+            << curve.distinct_profiles << " distinct profiles)\n";
     ctx.emit("poa_breakpoints", breakpoints);
     ctx.emit("poa_curve", pieces);
     return 0;

@@ -1,6 +1,7 @@
 #include "engine/registry.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -115,7 +116,12 @@ int run_scenario_main(const scenario& entry, int argc,
       return 0;
     }
 
-    const int requested = static_cast<int>(args.get_int("threads"));
+    const std::int64_t threads_flag = args.get_int("threads");
+    expects(threads_flag >= 0 &&
+                threads_flag <= std::numeric_limits<int>::max(),
+            "--threads must be >= 0 (0 = hardware concurrency), got " +
+                std::to_string(threads_flag));
+    const int requested = static_cast<int>(threads_flag);
     run_metadata meta;
     meta.scenario = entry.name();
     meta.seed = static_cast<std::uint64_t>(args.get_int("seed"));

@@ -252,8 +252,8 @@ class metrics_registry {
 /// progress heartbeat (which reads the first three to compute ETA and
 /// throughput). Keeping them here keeps producer and consumer in sync.
 namespace names {
-/// Work units an engine run has announced (counter; census/stream engines
-/// add one batch per pass).
+/// Work units an engine run has announced (counter; the census engines
+/// add one batch of shards per profiling pass).
 inline constexpr const char* shards_planned = "engine.shards_planned";
 /// Work units completed (counter).
 inline constexpr const char* shards_done = "engine.shards_done";
@@ -282,13 +282,9 @@ inline constexpr const char* orderly_orbit_rejects =
     "gen.orderly.orbit_rejects";
 /// Classes emitted by the generator.
 inline constexpr const char* orderly_accepts = "gen.orderly.accepts";
-/// Packed-profile arena bytes committed by the streaming engine.
+/// Bytes of the streaming engine's per-shard profile histogram entries.
 inline constexpr const char* profile_arena_bytes =
     "poa_stream.profile_arena_bytes";
-/// Profiles that overflowed the 16-byte packed form into the spill table.
-inline constexpr const char* profile_spills = "poa_stream.profile_spills";
-/// Spill-table lookups taken during accumulation.
-inline constexpr const char* spill_hits = "poa_stream.spill_hits";
 /// Tasks enqueued on the shared thread pool.
 inline constexpr const char* pool_dispatches = "thread_pool.dispatches";
 /// parallel_for_chunks invocations that fanned out to the pool.

@@ -3,7 +3,7 @@
 // counter loads — it never touches run state or takes locks the workers
 // contend on) and prints one status line to stderr:
 //
-//   [bilatnet 12.0s] shards 42/256 (16.4%) | 3.1M topologies (261.3k/s) |
+//   [bilatnet 12.0s] shards 42/128 (32.8%) | 3.1M topologies (261.3k/s) |
 //   eta 61s | rss 142 MB
 //
 // stderr is a side channel: stdout tables and every --jsonl/--csv byte are

@@ -1,11 +1,53 @@
 #include "util/arg_parse.hpp"
 
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "util/contracts.hpp"
 
 namespace bnf {
+
+namespace {
+
+/// Parse the whole of `value` with `parse` (std::stoll / std::stod). A
+/// malformed or out-of-range value names the flag instead of leaking the
+/// library's bare "stoll"/"stod" message.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& value,
+                 const char* what, Parse parse) {
+  const auto bad_value = [&] {
+    return precondition_error("arg_parser: bad " + std::string(what) +
+                              " for --" + name + ": " + value);
+  };
+  std::size_t pos = 0;
+  decltype(parse(value, &pos)) parsed{};
+  try {
+    parsed = parse(value, &pos);
+  } catch (const std::invalid_argument&) {
+    throw bad_value();
+  } catch (const std::out_of_range&) {
+    throw bad_value();
+  }
+  if (pos != value.size()) throw bad_value();
+  return parsed;
+}
+
+long long parse_int(const std::string& name, const std::string& value) {
+  return parse_whole(name, value, "integer",
+                     [](const std::string& text, std::size_t* pos) {
+                       return std::stoll(text, pos);
+                     });
+}
+
+double parse_real(const std::string& name, const std::string& value) {
+  return parse_whole(name, value, "number",
+                     [](const std::string& text, std::size_t* pos) {
+                       return std::stod(text, pos);
+                     });
+}
+
+}  // namespace
 
 arg_parser::arg_parser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -99,16 +141,9 @@ parse_status arg_parser::parse(int argc, const char* const* argv) {
     }
 
     if (e.type == kind::integer) {
-      std::size_t pos = 0;
-      const long long parsed = std::stoll(value, &pos);
-      expects(pos == value.size(),
-              "arg_parser: bad integer for --" + name + ": " + value);
-      e.value = std::to_string(parsed);
+      e.value = std::to_string(parse_int(name, value));
     } else if (e.type == kind::real || e.type == kind::optional_real) {
-      std::size_t pos = 0;
-      (void)std::stod(value, &pos);
-      expects(pos == value.size(),
-              "arg_parser: bad number for --" + name + ": " + value);
+      (void)parse_real(name, value);
       e.value = value;
     } else if (e.type == kind::boolean) {
       expects(value == "true" || value == "false",
@@ -132,7 +167,7 @@ const arg_parser::entry& arg_parser::lookup(const std::string& name,
 }
 
 std::int64_t arg_parser::get_int(const std::string& name) const {
-  return std::stoll(lookup(name, kind::integer).value);
+  return parse_int(name, lookup(name, kind::integer).value);
 }
 
 double arg_parser::get_double(const std::string& name) const {
@@ -141,7 +176,7 @@ double arg_parser::get_double(const std::string& name) const {
   expects(it->second.type == kind::real ||
               it->second.type == kind::optional_real,
           "arg_parser: flag type mismatch for " + name);
-  return std::stod(it->second.value);
+  return parse_real(name, it->second.value);
 }
 
 const std::string& arg_parser::get_string(const std::string& name) const {

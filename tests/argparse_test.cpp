@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 
 #include "util/contracts.hpp"
 
@@ -69,6 +70,44 @@ TEST(ArgParseTest, MalformedIntThrows) {
   const std::array argv{"prog", "--n", "12x"};
   EXPECT_THROW((void)args.parse(static_cast<int>(argv.size()), argv.data()),
                precondition_error);
+}
+
+// std::stoll/std::stod failures must surface as the parser's own message
+// naming the flag, never as the library's bare "stoll"/"stod".
+std::string parse_error(const std::array<const char*, 3>& argv) {
+  auto args = make_parser();
+  try {
+    (void)args.parse(static_cast<int>(argv.size()), argv.data());
+  } catch (const precondition_error& error) {
+    return error.what();
+  }
+  return "no error";
+}
+
+TEST(ArgParseTest, NonNumericIntNamesTheFlag) {
+  EXPECT_EQ(parse_error({"prog", "--n", "abc"}),
+            "arg_parser: bad integer for --n: abc");
+  EXPECT_EQ(parse_error({"prog", "--n", ""}),
+            "arg_parser: bad integer for --n: ");
+}
+
+TEST(ArgParseTest, OutOfRangeIntNamesTheFlag) {
+  EXPECT_EQ(parse_error({"prog", "--n", "99999999999999999999999"}),
+            "arg_parser: bad integer for --n: 99999999999999999999999");
+}
+
+TEST(ArgParseTest, NonNumericRealNamesTheFlag) {
+  EXPECT_EQ(parse_error({"prog", "--alpha", "abc"}),
+            "arg_parser: bad number for --alpha: abc");
+  EXPECT_EQ(parse_error({"prog", "--alpha", "1e999999"}),
+            "arg_parser: bad number for --alpha: 1e999999");
+}
+
+TEST(ArgParseTest, NegativeIntParses) {
+  auto args = make_parser();
+  const std::array argv{"prog", "--n", "-3"};
+  (void)args.parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(args.get_int("n"), -3);
 }
 
 TEST(ArgParseTest, MissingValueThrows) {

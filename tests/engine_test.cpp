@@ -163,6 +163,55 @@ TEST(EngineTest, BadFlagValueReturnsOne) {
             1);
 }
 
+// Runs the toy scenario and returns what it printed to stderr.
+std::string toy_stderr(const std::array<const char*, 3>& argv, int& code) {
+  const toy_scenario toy;
+  std::ostringstream out;
+  testing::internal::CaptureStderr();
+  code = run_scenario_main(toy, static_cast<int>(argv.size()), argv.data(),
+                           out);
+  return testing::internal::GetCapturedStderr();
+}
+
+TEST(EngineTest, NonNumericThreadsIsAReadableError) {
+  int code = 0;
+  const std::string err = toy_stderr({"prog", "--threads", "abc"}, code);
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(err.find("bad integer for --threads: abc"), std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("stoll"), std::string::npos) << err;
+}
+
+TEST(EngineTest, NegativeThreadsIsRejected) {
+  int code = 0;
+  const std::string err = toy_stderr({"prog", "--threads", "-1"}, code);
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(err.find("--threads must be >= 0"), std::string::npos) << err;
+}
+
+TEST(EngineTest, PoaCurveRejectsBadIntegerAndTheRemovedBudgetFlag) {
+  register_builtin_scenarios();
+  const scenario* poa = scenario_registry::global().find("poa-curve");
+  ASSERT_NE(poa, nullptr);
+  std::ostringstream out;
+  const std::array bad_n{"prog", "--n", "abc"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_scenario_main(*poa, static_cast<int>(bad_n.size()),
+                              bad_n.data(), out),
+            1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("bilatnet: poa-curve: arg_parser: bad integer for --n: "
+                     "abc"),
+            std::string::npos)
+      << err;
+  const std::array budget{"prog", "--memory-budget", "0"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_scenario_main(*poa, static_cast<int>(budget.size()),
+                              budget.data(), out),
+            1);
+  (void)testing::internal::GetCapturedStderr();
+}
+
 // The acceptance property of the engine: a figure sweep writes
 // byte-identical JSONL whatever the thread count, because sharding and
 // merge order are fixed and shard RNG streams derive from (seed, index).
