@@ -1,9 +1,11 @@
-// The architecture analyzer is itself under test: every must-fail
-// fixture tree trips exactly its rule (and no other), the must-pass tree
-// (seams, allow-edges, rationale'd suppressions, checked_* arithmetic)
-// stays clean, the layer-cycle report names the cycle's edges, the JSON
-// report parses with util/json and is byte-identical across runs, and the
-// real src/ + tools/ tree is clean under the checked-in layers.txt.
+// The static checker is itself under test: every must-fail fixture tree
+// trips exactly its rule (and no other), the must-pass tree (seams,
+// allow-edges, rationale'd suppressions, checked_* arithmetic, blessed
+// line-rule idioms) stays clean, bare and retired-grammar allows are
+// inert, bench/ and examples/ are line-checked, the layer-cycle report
+// names the cycle's edges, the JSON report parses with util/json and is
+// byte-identical across runs, and the real tree is clean under the
+// checked-in layers.txt.
 //
 // Paths come in as compile definitions from CMake:
 //   BILATNET_ANALYZE_BIN       the bilatnet_analyze executable
@@ -16,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/json.hpp"
 
@@ -42,13 +45,17 @@ analyze_result run_analyze(const std::string& args) {
   return result;
 }
 
-// Run over one fixture tree, which carries its own layers.txt.
+// Run over the given top-level directories of one fixture tree, which
+// carries its own layers.txt.
 analyze_result run_fixture(const std::string& fixture,
-                           const std::string& extra = "") {
+                           const std::string& extra = "",
+                           const std::vector<std::string>& dirs = {"src"}) {
   const std::string root =
       std::string(BILATNET_ANALYZE_FIXTURES) + "/" + fixture;
-  return run_analyze("--root " + root + " --layers " + root + "/layers.txt " +
-                     extra + " " + root + "/src");
+  std::string args =
+      "--root " + root + " --layers " + root + "/layers.txt " + extra;
+  for (const std::string& dir : dirs) args += " " + root + "/" + dir;
+  return run_analyze(args);
 }
 
 std::string slurp(const std::string& path) {
@@ -58,8 +65,13 @@ std::string slurp(const std::string& path) {
   return text.str();
 }
 
-constexpr std::array<const char*, 5> all_rules = {
-    "layer-cycle", "layer-up", "det-taint", "exact-arith", "header-hygiene"};
+constexpr std::array<const char*, 13> all_rules = {
+    // whole-program passes
+    "layer-cycle", "layer-up", "det-taint", "exact-arith", "header-hygiene",
+    // line rules
+    "epsilon-literal", "float-alpha-compare", "unordered-iteration",
+    "raw-random", "raw-thread", "metric-name-literal", "raw-exit",
+    "counter-bypass"};
 
 class AnalyzeFailFixture : public ::testing::TestWithParam<const char*> {};
 
@@ -80,9 +92,7 @@ TEST_P(AnalyzeFailFixture, TripsExactlyItsRule) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllRules, AnalyzeFailFixture,
-    ::testing::Values("layer-cycle", "layer-up", "det-taint", "exact-arith",
-                      "header-hygiene"),
+    AllRules, AnalyzeFailFixture, ::testing::ValuesIn(all_rules),
     [](const ::testing::TestParamInfo<const char*>& param_info) {
       std::string name = param_info.param;
       for (char& c : name) {
@@ -112,8 +122,39 @@ TEST(AnalyzeDetTaint, BareAllowIsInertAndChainIsReported) {
       << result.output;
 }
 
+// The line rules honor the same grammar: the raw-thread fixture carries a
+// bare `analyze:allow(raw-thread)` and a leftover comment in the retired
+// lint grammar, each above a std::thread line. Both lines must trip.
+TEST(AnalyzeSuppression, BareAndRetiredAllowsAreInert) {
+  const analyze_result result = run_fixture("fail/raw-thread");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  for (const char* line : {"bad_thread.cpp:10: [raw-thread]",
+                           "bad_thread.cpp:16: [raw-thread]"}) {
+    EXPECT_NE(result.output.find(line), std::string::npos)
+        << line << " missing:\n"
+        << result.output;
+  }
+}
+
+// bench/ and examples/ are line-checked, not just src/: drivers with
+// ad-hoc entropy or literal metric names drift exactly like library code
+// would.
+TEST(AnalyzeBenchScope, BenchAndExamplesAreScanned) {
+  const analyze_result result =
+      run_fixture("fail/bench-scope", "", {"bench", "examples"});
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  for (const char* hit :
+       {"bench/bad_bench_entropy.cpp:9: [raw-random]",
+        "examples/bad_example_metric.cpp:8: [metric-name-literal]"}) {
+    EXPECT_NE(result.output.find(hit), std::string::npos)
+        << hit << " missing:\n"
+        << result.output;
+  }
+}
+
 // The pass tree exercises seams, the allow-edge, a rationale'd det-taint
-// suppression and checked_* arithmetic; all of it must stay silent.
+// suppression, checked_* arithmetic and every blessed line-rule idiom; all
+// of it must stay silent.
 TEST(AnalyzePassFixture, StaysClean) {
   const analyze_result result = run_fixture("pass");
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -145,9 +186,9 @@ TEST(AnalyzeJsonReport, ParsesAndIsByteIdenticalAcrossRuns) {
   EXPECT_GT(v.at("line").as_int(), 0);
 }
 
-// The real tree is architecture-clean under the checked-in layers.txt —
-// and deterministically so.
-TEST(AnalyzeRealTree, SrcAndToolsAreClean) {
+// The real tree (the default inputs src/, tools/, bench/, examples/) is
+// clean under the checked-in layers.txt — and deterministically so.
+TEST(AnalyzeRealTree, DefaultInputsAreClean) {
   const std::string root = BILATNET_REPO_ROOT;
   const std::string json_a = ::testing::TempDir() + "analyze_real_a.json";
   const std::string json_b = ::testing::TempDir() + "analyze_real_b.json";
@@ -155,7 +196,7 @@ TEST(AnalyzeRealTree, SrcAndToolsAreClean) {
                            "/tools/analyze/layers.txt";
   const analyze_result first = run_analyze(args + " --json " + json_a);
   EXPECT_EQ(first.exit_code, 0)
-      << "src/ or tools/ violates the declared architecture:\n"
+      << "the real tree violates a checked invariant:\n"
       << first.output;
   const analyze_result second = run_analyze(args + " --json " + json_b);
   EXPECT_EQ(first.output, second.output);
@@ -169,9 +210,13 @@ TEST(AnalyzeRealTree, SrcAndToolsAreClean) {
 TEST(AnalyzeCli, ListRulesNamesEveryRule) {
   const analyze_result result = run_analyze("--list-rules");
   EXPECT_EQ(result.exit_code, 0);
-  for (const char* rule : all_rules) {
-    EXPECT_NE(result.output.find(rule), std::string::npos) << rule;
+  std::istringstream lines(result.output);
+  std::vector<std::string> ids;
+  for (std::string line; std::getline(lines, line);) {
+    ids.push_back(line.substr(0, line.find('\t')));
   }
+  EXPECT_EQ(ids, std::vector<std::string>(all_rules.begin(), all_rules.end()))
+      << result.output;
 }
 
 }  // namespace

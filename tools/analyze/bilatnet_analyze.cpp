@@ -1,13 +1,12 @@
-// bilatnet_analyze — whole-program architecture & determinism analyzer.
+// bilatnet_analyze — the repo's static checker.
 //
-// bilatnet_lint (tools/lint) polices single statements; this tool checks
-// the properties that only exist at whole-program scope: the layer
-// structure of src/ and the *reachability* of non-deterministic sources
-// from the code paths that emit result bytes. It is a lightweight
-// token-level C++ indexer (std-only, no libclang) that extracts the
-// `#include` graph and a per-function call graph (qualified-name
-// heuristic resolution — good enough for this tree's idioms), then runs
-// four passes:
+// Generic tools (clang-tidy, TSan) cannot know which guarantees this
+// codebase stakes its results on: epsilon-free equilibrium thresholds and
+// byte-identical sharded output. This tool encodes them. It is a
+// lightweight token-level C++ indexer (std-only, no libclang) that
+// extracts the `#include` graph and a per-function call graph
+// (qualified-name heuristic resolution — good enough for this tree's
+// idioms), then runs five whole-program passes:
 //
 //   layer-cycle      the resolved include graph must be acyclic; a cycle
 //                    is reported with its full edge path.
@@ -26,7 +25,7 @@
 //                    formatting) taint their transitive CALLERS; the
 //                    build fails if taint reaches any function defined in
 //                    a `sink` file (the result_sink writers, the run
-//                    driver, analysis/report*) — upgrading the PR-2/PR-5
+//                    driver, analysis/report*) — upgrading the
 //                    byte-identity promise from "tests happened to catch
 //                    it" to "statically unreachable".
 //   exact-arith      raw +/-/* on rational num/den components outside
@@ -37,9 +36,42 @@
 //                    dir-qualified ("util/x.hpp", never "x.hpp"), and a
 //                    .cpp includes its own header first.
 //
+// and eight line rules, each a single-statement invariant checked on the
+// scrubbed text of every line:
+//
+//   epsilon-literal      no 1e-9-style tolerance literals in the exactness
+//                        directories — every equilibrium comparison routes
+//                        through exact rationals.
+//   float-alpha-compare  no comparison mixing `alpha` with a non-integral
+//                        floating literal there, outside the blessed
+//                        exact_rational() conversion sites.
+//   unordered-iteration  no iteration over std::unordered_{map,set} in
+//                        src/engine/, src/analysis/ or src/gen/ — anything
+//                        on a sink-writing path must have a deterministic
+//                        order or shard output stops being byte-identical.
+//   raw-random           rand()/srand()/std::random_device/time() only in
+//                        util/rng — every random stream must be seeded and
+//                        reproducible.
+//   raw-thread           std::thread/std::jthread only in util/thread_pool
+//                        and obs/progress — ad-hoc threads bypass the
+//                        pool's dispatch accounting and inline-nesting
+//                        guarantees.
+//   metric-name-literal  obs registry lookups must use the obs::names
+//                        constants, not string literals, so producers and
+//                        the progress/ETA consumer can never drift apart.
+//   raw-exit             no std::exit outside src/cli/ — library code
+//                        reports errors; only entry points terminate.
+//   counter-bypass       `ucg_nash_search_invocations` is backed by the
+//                        obs registry counter; no writes to it and no
+//                        shadow `static <integer>` search counters.
+//
+// The exactness directories are the `exact` lines of layers.txt. The
+// whole-program passes see src/ and tools/; the line rules see src/,
+// bench/ and examples/ (see `indexed` and `line_checked` below).
+//
 // Suppression: `// analyze:allow(<rule-id>) <rationale>` (comma-separated
-// ids or `*`) on the offending line or the line directly above. Unlike
-// lint:allow, the rationale text is REQUIRED — a bare allow is ignored.
+// ids or `*`) on the offending line or the line directly above. The
+// rationale text is REQUIRED — a bare allow is ignored.
 // For det-taint the suppression may sit on a source line (kills that
 // source), on a call/mention line (severs those call edges), or on a
 // function's definition line (the function is a vetted barrier: taint
@@ -57,8 +89,9 @@
 //                  current directory)
 //   --layers FILE  layer/sink/exact configuration (default:
 //                  <root>/tools/analyze/layers.txt)
-//   paths          files or directories to scan (default: <root>/src and
-//                  <root>/tools, skipping */fixtures/*)
+//   paths          files or directories to scan (default: <root>/src,
+//                  <root>/tools, <root>/bench and <root>/examples,
+//                  skipping */fixtures/*)
 // Exit status: 0 clean, 1 violations, 2 usage or I/O errors.
 
 #include <algorithm>
@@ -886,6 +919,19 @@ std::string layer_of(const std::string& rel, const layer_config& cfg,
   return "";
 }
 
+// Which checks see a file. The whole-program passes skip the bench/ and
+// examples/ drivers: they include through the "bnf.hpp"/"harness.hpp"
+// umbrellas, and det-taint resolves calls by name alone, so their
+// clock-reading code would attach to sink call chains. The line rules
+// skip tools/, whose entry points exit by contract. Anything else gets
+// both.
+bool indexed(const std::string& rel) {
+  return !rel.starts_with("bench/") && !rel.starts_with("examples/");
+}
+bool line_checked(const std::string& rel) {
+  return !rel.starts_with("tools/");
+}
+
 bool starts_with_any(const std::string& rel,
                      const std::vector<std::string>& prefixes) {
   return std::any_of(prefixes.begin(), prefixes.end(),
@@ -916,6 +962,7 @@ std::vector<include_edge> extract_includes(
   static const std::regex include_re(R"re(^\s*#\s*include\s*"([^"]+)")re");
   std::vector<include_edge> edges;
   for (std::size_t f = 0; f < files.size(); ++f) {
+    if (!indexed(files[f].rel)) continue;
     for (std::size_t i = 0; i < files[f].lines.size(); ++i) {
       std::smatch m;
       if (!std::regex_search(files[f].lines[i].raw, m, include_re)) continue;
@@ -1054,11 +1101,15 @@ void pass_layer_gate(const std::vector<source_file>& files,
 
 struct source_hit {
   std::string kind;
-  std::size_t line;
+  std::size_t line;  // 1-based
+  std::string name;  // the iterated container, for unordered-iter
 };
 
-// Non-deterministic source patterns. Checked per scrubbed code line except
-// where noted; hits outside any function body are inert (type aliases).
+// Non-deterministic source patterns, checked per scrubbed code line except
+// where noted. One detection feeds two consumers, each applying its own
+// suppressions: det-taint seeds taint from every kind (hits outside any
+// function body are inert — type aliases), and the raw-random and
+// unordered-iteration line rules report rand-entropy and unordered-iter.
 std::vector<source_hit> find_source_hits(const source_file& file) {
   static const std::regex rand_re(
       R"(std::random_device|\bs?rand\s*\(|\btime\s*\()");
@@ -1074,7 +1125,7 @@ std::vector<source_hit> find_source_hits(const source_file& file) {
     const std::string& code = file.lines[i].code;
     const std::string& raw = file.lines[i].raw;
     const auto add = [&](const char* kind) {
-      if (!suppressed(file, i, "det-taint")) hits.push_back({kind, i + 1});
+      hits.push_back({kind, i + 1, ""});
     };
     if (std::regex_search(code, rand_re)) add("rand-entropy");
     if (std::regex_search(code, clock_re)) add("clock-read");
@@ -1085,8 +1136,10 @@ std::vector<source_hit> find_source_hits(const source_file& file) {
       add("proc-read");
     }
   }
-  // Iteration over a name declared with an unordered container as its
-  // outermost type (same heuristic as bilatnet_lint, file-scoped).
+  // Iteration (range-for or begin()) over a name declared with an
+  // unordered container as its OUTERMOST type: a vector<unordered_map<...>>
+  // walks the vector, which is fine. Declarations are matched on a single
+  // scrubbed line; names are file-scoped.
   static const std::regex decl_re(
       R"((?:^\s*|[;{(]\s*|\bstatic\s+|\bconst\s+)std::unordered_(?:map|set)\s*<)");
   static const std::regex name_re(R"(>\s*&?\s*([A-Za-z_]\w*)\s*[({=;,)])");
@@ -1104,15 +1157,15 @@ std::vector<source_hit> find_source_hits(const source_file& file) {
     for (const std::string& name : unordered_names) {
       const std::regex iter_re(":\\s*" + name + "\\s*\\)|\\b" + name +
                                "\\s*\\.\\s*c?begin\\s*\\(");
-      if (std::regex_search(code, iter_re) &&
-          !suppressed(file, i, "det-taint")) {
-        hits.push_back({"unordered-iter", i + 1});
+      if (std::regex_search(code, iter_re)) {
+        hits.push_back({"unordered-iter", i + 1, name});
       }
     }
   }
   std::sort(hits.begin(), hits.end(),
             [](const source_hit& a, const source_hit& b) {
-              return std::tie(a.line, a.kind) < std::tie(b.line, b.kind);
+              return std::tie(a.line, a.kind, a.name) <
+                     std::tie(b.line, b.kind, b.name);
             });
   return hits;
 }
@@ -1126,6 +1179,7 @@ struct taint_info {
 };
 
 void pass_det_taint(const std::vector<source_file>& files,
+                    const std::vector<std::vector<source_hit>>& hits,
                     std::vector<func_info>& funcs, const layer_config& cfg,
                     std::size_t& call_edge_count,
                     std::vector<violation>& out) {
@@ -1184,9 +1238,8 @@ void pass_det_taint(const std::vector<source_file>& files,
   std::vector<taint_info> taint(funcs.size());
   std::vector<int> queue;
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    const std::vector<source_hit> hits = find_source_hits(files[fi]);
-    if (hits.empty()) continue;
-    for (const source_hit& hit : hits) {
+    for (const source_hit& hit : hits[fi]) {
+      if (suppressed(files[fi], hit.line - 1, "det-taint")) continue;
       int best = -1;
       std::size_t best_span = static_cast<std::size_t>(-1);
       for (std::size_t f = 0; f < funcs.size(); ++f) {
@@ -1250,7 +1303,7 @@ void pass_exact_arith(const std::vector<source_file>& files,
                       const layer_config& cfg, std::vector<violation>& out) {
   static const std::regex member_re(R"((?:\.|->)\s*(num|den)\b)");
   for (const source_file& file : files) {
-    if (!starts_with_any(file.rel, cfg.exact)) continue;
+    if (!indexed(file.rel) || !starts_with_any(file.rel, cfg.exact)) continue;
     for (std::size_t i = 0; i < file.lines.size(); ++i) {
       const std::string& code = file.lines[i].code;
       if (!std::regex_search(code, member_re)) continue;
@@ -1294,6 +1347,7 @@ void pass_header_hygiene(const std::vector<source_file>& files,
                          std::vector<violation>& out) {
   static const std::regex include_re(R"re(^\s*#\s*include\s*"([^"]+)")re");
   for (const source_file& file : files) {
+    if (!indexed(file.rel)) continue;
     const bool header = file.rel.ends_with(".hpp") || file.rel.ends_with(".h");
     if (header) {
       const bool has_pragma = std::any_of(
@@ -1337,26 +1391,239 @@ void pass_header_hygiene(const std::vector<source_file>& files,
 }
 
 // --------------------------------------------------------------------------
+// Line rules: single-statement invariants, each scanning one file's
+// scrubbed lines. Scopes are rel-path prefixes; the exactness directories
+// come from the `exact` lines of layers.txt.
+// --------------------------------------------------------------------------
+
+struct line_input {
+  const source_file& file;
+  const std::vector<source_hit>& hits;  // find_source_hits(file)
+  bool exact;                           // file lies in an `exact` directory
+};
+
+void report(const source_file& file, std::size_t index, std::string_view rule,
+            std::string message, std::vector<violation>& out) {
+  if (suppressed(file, index, rule)) return;
+  out.push_back({file.rel, index + 1, std::string(rule), std::move(message)});
+}
+
+void check_epsilon_literal(const line_input& in, std::vector<violation>& out) {
+  if (!in.exact) return;
+  static const std::regex eps_re(R"([0-9]\s*[eE]-[0-9])");
+  for (std::size_t i = 0; i < in.file.lines.size(); ++i) {
+    const std::string& code = in.file.lines[i].code;
+    if (code.find("exact_rational(") != std::string::npos) continue;
+    if (std::regex_search(code, eps_re)) {
+      report(in.file, i, "epsilon-literal",
+             "scientific-notation tolerance literal in an exactness "
+             "directory; route the comparison through exact rationals",
+             out);
+    }
+  }
+}
+
+void check_float_alpha_compare(const line_input& in,
+                               std::vector<violation>& out) {
+  if (!in.exact) return;
+  static const std::regex alpha_re(R"(\balpha\b)");
+  static const std::regex cmp_re(R"([<>]=?|[=!]=)");
+  static const std::regex frac_literal_re(
+      R"(\b[0-9]+\.[0-9]+\b|\b[0-9]+\.?[0-9]*[eE][-+]?[0-9]+\b)");
+  for (std::size_t i = 0; i < in.file.lines.size(); ++i) {
+    const std::string& code = in.file.lines[i].code;
+    if (code.find("exact_rational(") != std::string::npos) continue;
+    if (std::regex_search(code, alpha_re) &&
+        std::regex_search(code, cmp_re) &&
+        std::regex_search(code, frac_literal_re)) {
+      report(in.file, i, "float-alpha-compare",
+             "comparison mixes `alpha` with a non-integral floating "
+             "literal; use exact_rational / integer deltas instead",
+             out);
+    }
+  }
+}
+
+void check_unordered_iteration(const line_input& in,
+                               std::vector<violation>& out) {
+  if (!starts_with_any(in.file.rel,
+                       {"src/engine/", "src/analysis/", "src/gen/"})) {
+    return;
+  }
+  for (const source_hit& hit : in.hits) {
+    if (hit.kind != "unordered-iter") continue;
+    report(in.file, hit.line - 1, "unordered-iteration",
+           "iterating std::unordered container `" + hit.name +
+               "` on a sink-feeding path; iteration order is not "
+               "deterministic — use a sorted/indexed container or "
+               "collect-and-sort first",
+           out);
+  }
+}
+
+void check_raw_random(const line_input& in, std::vector<violation>& out) {
+  if (in.file.rel.starts_with("src/util/rng.")) return;
+  for (const source_hit& hit : in.hits) {
+    if (hit.kind != "rand-entropy") continue;
+    report(in.file, hit.line - 1, "raw-random",
+           "unseeded randomness / wall-clock entropy outside util/rng; "
+           "results must be reproducible from (seed, shard)",
+           out);
+  }
+}
+
+void check_raw_thread(const line_input& in, std::vector<violation>& out) {
+  if (starts_with_any(in.file.rel,
+                      {"src/util/thread_pool.", "src/obs/progress."})) {
+    return;
+  }
+  static const std::regex thread_re(R"(std::j?thread\b)");
+  for (std::size_t i = 0; i < in.file.lines.size(); ++i) {
+    std::string code = in.file.lines[i].code;
+    // std::this_thread:: (sleep/yield) is not thread creation.
+    std::size_t pos;
+    while ((pos = code.find("std::this_thread")) != std::string::npos) {
+      code.erase(pos, std::string_view("std::this_thread").size());
+    }
+    if (std::regex_search(code, thread_re)) {
+      report(in.file, i, "raw-thread",
+             "raw std::thread outside util/thread_pool and obs/progress; "
+             "dispatch through the shared pool so nesting and telemetry "
+             "accounting hold",
+             out);
+    }
+  }
+}
+
+void check_metric_name_literal(const line_input& in,
+                               std::vector<violation>& out) {
+  if (in.file.rel.starts_with("src/obs/metrics.")) return;
+  static const std::regex metric_re(
+      R"((get_counter|get_gauge|get_histogram|counter_ref|gauge_ref|histogram_ref)\s*\(\s*")");
+  for (std::size_t i = 0; i < in.file.lines.size(); ++i) {
+    if (std::regex_search(in.file.lines[i].raw, metric_re)) {
+      report(in.file, i, "metric-name-literal",
+             "metric looked up by string literal; use the obs::names "
+             "constants so producers and the heartbeat stay in sync",
+             out);
+    }
+  }
+  // Consumer side of the same invariant: the report analyzer and the
+  // bench harness read canonical metric names back out of serialized
+  // artifacts. A name spelled as a quoted literal there drifts silently
+  // the day a producer renames it, so these files must reference names
+  // through obs::names only.
+  if (!starts_with_any(in.file.rel,
+                       {"src/analysis/run_report.", "bench/harness."})) {
+    return;
+  }
+  static const std::regex name_literal_re(
+      R"("(engine|census|equilibria|gen|poa_stream|thread_pool)\.[A-Za-z0-9_.]+")");
+  for (std::size_t i = 0; i < in.file.lines.size(); ++i) {
+    if (std::regex_search(in.file.lines[i].raw, name_literal_re)) {
+      report(in.file, i, "metric-name-literal",
+             "canonical metric name spelled as a literal in a telemetry "
+             "consumer; reference it through obs::names",
+             out);
+    }
+  }
+}
+
+void check_raw_exit(const line_input& in, std::vector<violation>& out) {
+  if (in.file.rel.starts_with("src/cli/")) return;
+  static const std::regex exit_re(R"((?:^|[^\w.:])exit\s*\()");
+  for (std::size_t i = 0; i < in.file.lines.size(); ++i) {
+    const std::string& code = in.file.lines[i].code;
+    if (std::regex_search(code, exit_re) ||
+        code.find("std::exit") != std::string::npos) {
+      report(in.file, i, "raw-exit",
+             "process exit outside src/cli/; library code reports errors "
+             "to the caller, only entry points terminate",
+             out);
+    }
+  }
+}
+
+void check_counter_bypass(const line_input& in, std::vector<violation>& out) {
+  // Writes to the published invocation counter anywhere (reads are fine;
+  // the value comes from the obs registry).
+  static const std::regex write_re(
+      R"(\bucg_nash_search_invocations\s*(?:\+\+|--|=[^=]|\+=|-=))");
+  static const std::regex incr_re(
+      R"((?:\+\+|--)\s*ucg_nash_search_invocations\b)");
+  // Shadow counters: a static integral counter named like a search/
+  // invocation tally must instead be an obs registry counter.
+  static const std::regex shadow_re(
+      R"(static\s+(?:std::atomic<[^>]*>|(?:unsigned\s+)?(?:long\s+long|long|int)|std::u?int(?:8|16|32|64)_t|std::size_t)\s+\w*(?:invocations|search_count|searches)\w*)");
+  const bool shadow_scope = in.exact &&
+                            in.file.rel != "src/equilibria/ucg_nash.cpp" &&
+                            in.file.rel != "src/equilibria/ucg_nash.hpp";
+  for (std::size_t i = 0; i < in.file.lines.size(); ++i) {
+    const std::string& code = in.file.lines[i].code;
+    if (std::regex_search(code, write_re) ||
+        std::regex_search(code, incr_re)) {
+      report(in.file, i, "counter-bypass",
+             "write to ucg_nash_search_invocations; it is a read-only view "
+             "of the obs registry counter",
+             out);
+      continue;
+    }
+    if (shadow_scope && std::regex_search(code, shadow_re)) {
+      report(in.file, i, "counter-bypass",
+             "static integral search/invocation tally; register an "
+             "obs::counter instead so --metrics and tests see it",
+             out);
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
 // Reporting.
 // --------------------------------------------------------------------------
 
 struct rule_desc {
   std::string_view id;
   std::string_view summary;
+  // Line rules scan one file; whole-program passes have no per-file check.
+  void (*check)(const line_input&, std::vector<violation>&);
 };
 
 constexpr rule_desc rules[] = {
-    {"layer-cycle", "the resolved #include graph must be acyclic"},
+    {"layer-cycle", "the resolved #include graph must be acyclic", nullptr},
     {"layer-up",
      "includes follow the layer DAG in tools/analyze/layers.txt (seam/allow "
-     "edges excepted)"},
+     "edges excepted)",
+     nullptr},
     {"det-taint",
      "no call chain from a sink-emitting function to a non-deterministic "
-     "source"},
+     "source",
+     nullptr},
     {"exact-arith",
-     "no raw +/-/* on rational num/den in the exactness directories"},
+     "no raw +/-/* on rational num/den in the exactness directories",
+     nullptr},
     {"header-hygiene",
-     "#pragma once, dir-qualified local includes, own header first"},
+     "#pragma once, dir-qualified local includes, own header first",
+     nullptr},
+    {"epsilon-literal",
+     "no 1e-9-style tolerance literals in the exactness directories",
+     check_epsilon_literal},
+    {"float-alpha-compare",
+     "no comparison mixing alpha with a non-integral float literal there",
+     check_float_alpha_compare},
+    {"unordered-iteration",
+     "no unordered_{map,set} iteration in src/{engine,analysis,gen}/",
+     check_unordered_iteration},
+    {"raw-random", "rand()/random_device/time() only in util/rng",
+     check_raw_random},
+    {"raw-thread", "std::thread only in util/thread_pool and obs/progress",
+     check_raw_thread},
+    {"metric-name-literal",
+     "obs registry lookups use obs::names constants, not literals",
+     check_metric_name_literal},
+    {"raw-exit", "no std::exit outside src/cli/", check_raw_exit},
+    {"counter-bypass",
+     "ucg_nash_search_invocations backed by the obs counter only",
+     check_counter_bypass},
 };
 
 std::string json_escape_text(const std::string& text) {
@@ -1477,8 +1744,9 @@ int run(int argc, char** argv) {
   }
   if (layers_path.empty()) layers_path = root / "tools" / "analyze" / "layers.txt";
   if (inputs.empty()) {
-    inputs.push_back(root / "src");
-    inputs.push_back(root / "tools");
+    for (const char* dir : {"src", "tools", "bench", "examples"}) {
+      inputs.push_back(root / dir);
+    }
   }
 
   layer_config cfg;
@@ -1524,7 +1792,9 @@ int run(int argc, char** argv) {
     std::ostringstream text;
     text << in.rdbuf();
     source_file file{relative_to(path, root), split_and_scrub(text.str())};
-    file_index.emplace(file.rel, static_cast<int>(files.size()));
+    if (indexed(file.rel)) {
+      file_index.emplace(file.rel, static_cast<int>(files.size()));
+    }
     files.push_back(std::move(file));
   }
 
@@ -1532,6 +1802,7 @@ int run(int argc, char** argv) {
   std::vector<func_info> funcs;
   std::vector<std::vector<token>> token_streams(files.size());
   for (std::size_t f = 0; f < files.size(); ++f) {
+    if (!indexed(files[f].rel)) continue;
     token_streams[f] = tokenize(files[f].lines);
     indexer idx(token_streams[f], static_cast<int>(f));
     for (func_info& fn : idx.run()) {
@@ -1551,13 +1822,23 @@ int run(int argc, char** argv) {
   }
 
   const std::vector<include_edge> edges = extract_includes(files, file_index);
+  std::vector<std::vector<source_hit>> hits;
+  for (const source_file& file : files) hits.push_back(find_source_hits(file));
 
   std::vector<violation> violations;
   pass_layer_gate(files, edges, cfg, violations);
   report_stats stats;
-  pass_det_taint(files, funcs, cfg, stats.call_edges, violations);
+  pass_det_taint(files, hits, funcs, cfg, stats.call_edges, violations);
   pass_exact_arith(files, cfg, violations);
   pass_header_hygiene(files, file_index, violations);
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    if (!line_checked(files[f].rel)) continue;
+    const line_input in{files[f], hits[f],
+                        starts_with_any(files[f].rel, cfg.exact)};
+    for (const rule_desc& r : rules) {
+      if (r.check != nullptr) r.check(in, violations);
+    }
+  }
 
   std::sort(violations.begin(), violations.end(),
             [](const violation& a, const violation& b) {
@@ -1572,7 +1853,7 @@ int run(int argc, char** argv) {
                   }),
       violations.end());
 
-  stats.files = files.size();
+  stats.files = file_index.size();
   stats.functions = funcs.size();
   stats.include_edges = edges.size();
 
@@ -1584,7 +1865,7 @@ int run(int argc, char** argv) {
               << v.message << "\n";
   }
   if (!violations.empty()) {
-    std::cout << violations.size() << " architecture violation"
+    std::cout << violations.size() << " violation"
               << (violations.size() == 1 ? "" : "s") << "\n";
     return 1;
   }
