@@ -390,6 +390,8 @@ run_diff diff_runs(const ledger_record& baseline,
   diff.noise = noise;
   diff.wall_ratio = candidate.wall_seconds / baseline.wall_seconds;
   diff.same_workload = baseline.workload_key() == candidate.workload_key();
+  diff.counters_pinned =
+      diff.same_workload && baseline.threads == candidate.threads;
   if (diff.wall_ratio > 1.0 + noise) {
     diff.verdict = diff_verdict::regressed;
   } else if (diff.wall_ratio < 1.0 - noise) {
@@ -421,6 +423,9 @@ run_diff diff_runs(const ledger_record& baseline,
   for (const std::string& name : names) {
     const std::uint64_t before = baseline.counter(name);
     const std::uint64_t after = candidate.counter(name);
+    if (diff.counters_pinned && before != after) {
+      diff.drifted_counters.push_back(name);
+    }
     std::string delta = "=";
     if (after > before) {
       delta = "+";
@@ -538,14 +543,23 @@ int report_diff(const std::string& ledger_path, arg_parser& args,
   }
   out << "\n";
   diff.table.print(out);
-  out << "\nverdict: " << to_string(diff.verdict) << " (wall "
+  out << "\n";
+  if (!diff.drifted_counters.empty()) {
+    out << "counter drift:";
+    for (const std::string& name : diff.drifted_counters) out << " " << name;
+    out << "\n";
+  } else if (diff.counters_pinned) {
+    out << "counters: pinned, none drifted\n";
+  } else if (diff.same_workload) {
+    out << "counters: not pinned (threads " << baseline.threads << " vs "
+        << candidate.threads << ")\n";
+  }
+  out << "verdict: " << to_string(diff.verdict) << " (wall "
       << fmt_signed_percent(diff.wall_ratio - 1.0) << " vs noise "
       << fmt_percent(diff.noise) << ")\n";
-  if (diff.verdict == diff_verdict::regressed &&
-      args.get_flag("fail-on-regression")) {
-    return 3;
-  }
-  return 0;
+  const bool failed = diff.verdict == diff_verdict::regressed ||
+                      !diff.drifted_counters.empty() || !diff.same_workload;
+  return failed && args.get_flag("fail-on-regression") ? 3 : 0;
 }
 
 }  // namespace
@@ -579,7 +593,8 @@ int run_report_main(int argc, const char* const* argv, std::ostream& out) {
                       "fractional wall-time noise threshold for the "
                       "REGRESSED/IMPROVED verdict");
       args.add_flag("fail-on-regression",
-                    "exit 3 when the verdict is REGRESSED (for CI gates)");
+                    "exit 3 on a REGRESSED verdict, counter drift or a "
+                    "workload mismatch (for CI gates)");
     } else {
       args.add_int("run", 0,
                    "run number to detail (1-based; default: the last run)");

@@ -9,7 +9,8 @@
 //   * scaling-efficiency fits across runs of the same workload at
 //     different --threads,
 //   * and `report diff`: two runs compared under a noise threshold with a
-//     REGRESSED / OK / IMPROVED verdict.
+//     REGRESSED / OK / IMPROVED wall-time verdict, plus an exact pin on
+//     the work counters of two runs of the same workload.
 //
 // Everything here is a pure reader — it never touches the engine or the
 // registry's live metrics, only the serialized artifacts.
@@ -144,11 +145,20 @@ enum class diff_verdict { improved, ok, regressed };
 /// which is driven by wall time alone — REGRESSED when candidate wall
 /// exceeds baseline by more than `noise` (fractional), IMPROVED when it
 /// undercuts it by more than `noise`, OK otherwise.
+///
+/// Counters are pinned separately: when both runs have the same
+/// workload_key() and the same threads, every counter in the union of
+/// the two records must match exactly (a missing counter counts as 0).
+/// Thread counts differ => no pin, since thread-pool dispatches depend on
+/// the worker count.
 struct run_diff {
   diff_verdict verdict{diff_verdict::ok};
   double wall_ratio{1};  // candidate / baseline
   double noise{0};
   bool same_workload{true};
+  bool counters_pinned{false};
+  /// Pinned counters whose values differ, in name order.
+  std::vector<std::string> drifted_counters;
   text_table table{
       std::vector<std::string>{"metric", "baseline", "candidate", "delta"}};
 };
@@ -163,8 +173,9 @@ struct run_diff {
 ///                        [--noise F] [--fail-on-regression]
 /// argv[0] is skipped as the program name; positional tokens (the
 /// optional `diff` keyword and the ledger path) precede the flags.
-/// Returns 0 on success, 1 on errors, and 3 for a REGRESSED verdict under
-/// --fail-on-regression.
+/// Returns 0 on success, 1 on errors, and 3 under --fail-on-regression
+/// when the verdict is REGRESSED, a pinned counter drifted, or the two
+/// runs are different workloads.
 int run_report_main(int argc, const char* const* argv, std::ostream& out);
 
 }  // namespace bnf

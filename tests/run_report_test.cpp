@@ -1,16 +1,20 @@
 // Tests for the `bilatnet report` pipeline over the checked-in fixture
 // set (tests/data/report_fixture_*: a real n=5 poa-curve ledger with its
 // metrics and trace side files): ledger parsing, trace shard extraction,
-// skew tables, the generator funnel, scaling fits, and the diff verdicts
-// on doctored copies.
+// skew tables, the generator funnel, scaling fits, the diff verdicts and
+// counter pin on doctored copies, and the perf-smoke baseline ledger
+// (tools/perf/perf_smoke_baseline.jsonl) against fresh runs.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/run_report.hpp"
+#include "engine/registry.hpp"
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
 #include "util/file_io.hpp"
@@ -23,6 +27,28 @@ const std::string kDataDir = BILATNET_TEST_DATA;
 const std::string kLedger = kDataDir + "/report_fixture_ledger.jsonl";
 const std::string kMetrics = kDataDir + "/report_fixture_metrics.json";
 const std::string kTrace = kDataDir + "/report_fixture_trace.json";
+
+// `text` with its one occurrence of `from` replaced by `to`.
+std::string replace_once(std::string text, const std::string& from,
+                         const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+// Runs `report diff <ledger> --baseline B --candidate C --noise 2.0`, with
+// --fail-on-regression when asked, and returns the exit code; the
+// rendered report goes to `out`.
+int report_diff_exit(const std::string& ledger, const char* baseline,
+                     const char* candidate, bool fail_on_regression,
+                     std::ostringstream& out) {
+  std::vector<const char*> argv{"prog",        "diff",    ledger.c_str(),
+                                "--baseline",  baseline,  "--candidate",
+                                candidate,     "--noise", "2.0"};
+  if (fail_on_regression) argv.push_back("--fail-on-regression");
+  return run_report_main(static_cast<int>(argv.size()), argv.data(), out);
+}
 
 TEST(JsonParserTest, ParsesScalarsContainersAndEscapes) {
   const json_value doc = json_value::parse(
@@ -233,6 +259,19 @@ TEST(DiffTest, VerdictsOnDoctoredCopies) {
     }
   }
   EXPECT_TRUE(saw_drift_row);
+  EXPECT_TRUE(drift.counters_pinned);
+  EXPECT_EQ(drift.drifted_counters,
+            std::vector<std::string>{obs::names::topologies_profiled});
+  EXPECT_EQ(drift.verdict, diff_verdict::ok)
+      << "the verdict stays a wall-time verdict";
+
+  // Fixture runs 1 and 2 are the same workload at threads 1 vs 2: their
+  // thread_pool.* counters differ, but unequal thread counts are not
+  // pinned.
+  const run_diff cross_threads = diff_runs(runs[0], runs[1], 0.05);
+  EXPECT_TRUE(cross_threads.same_workload);
+  EXPECT_FALSE(cross_threads.counters_pinned);
+  EXPECT_TRUE(cross_threads.drifted_counters.empty());
 
   EXPECT_EQ(std::string(to_string(diff_verdict::regressed)), "REGRESSED");
   EXPECT_EQ(std::string(to_string(diff_verdict::improved)), "IMPROVED");
@@ -268,6 +307,48 @@ TEST(ReportMainTest, DiffModeYieldsADeterministicVerdict) {
   EXPECT_NE(first.str().find("verdict:"), std::string::npos) << first.str();
 }
 
+TEST(ReportMainTest, FailOnRegressionGatesDriftAndWorkloadMismatch) {
+  std::istringstream fixture(read_file(kLedger, "test"));
+  std::string base;
+  std::getline(fixture, base);
+  const std::string profiled =
+      std::string("\"") + obs::names::topologies_profiled + "\":";
+  const std::string ledger = ::testing::TempDir() + "run_report_gate.jsonl";
+  {
+    std::ofstream file(ledger, std::ios::trunc);
+    file << base << "\n"
+         << replace_once(base, profiled + "21", profiled + "22") << "\n"
+         << replace_once(base, "\"n\":\"5\"", "\"n\":\"6\"") << "\n";
+  }
+
+  std::ostringstream self;
+  EXPECT_EQ(report_diff_exit(ledger, "1", "1", true, self), 0) << self.str();
+  EXPECT_NE(self.str().find("counters: pinned, none drifted"),
+            std::string::npos)
+      << self.str();
+
+  std::ostringstream drift;
+  EXPECT_EQ(report_diff_exit(ledger, "1", "2", true, drift), 3)
+      << drift.str();
+  EXPECT_NE(drift.str().find(std::string("counter drift: ") +
+                             obs::names::topologies_profiled + "\n"),
+            std::string::npos)
+      << drift.str();
+  EXPECT_NE(drift.str().find("verdict: OK"), std::string::npos)
+      << drift.str();
+
+  std::ostringstream mismatch;
+  EXPECT_EQ(report_diff_exit(ledger, "1", "3", true, mismatch), 3)
+      << mismatch.str();
+  EXPECT_NE(mismatch.str().find("DIFFERENT workloads"), std::string::npos);
+
+  // Without the flag the report is informational and exits 0.
+  std::ostringstream informational;
+  EXPECT_EQ(report_diff_exit(ledger, "1", "3", false, informational), 0);
+  EXPECT_EQ(report_diff_exit(ledger, "1", "2", false, informational), 0);
+  std::remove(ledger.c_str());
+}
+
 TEST(ReportMainTest, ErrorsReturnOneAndHelpReturnsZero) {
   std::ostringstream out;
   const std::array missing{"prog"};
@@ -283,6 +364,44 @@ TEST(ReportMainTest, ErrorsReturnOneAndHelpReturnsZero) {
   EXPECT_EQ(run_report_main(static_cast<int>(help.size()), help.data(), out),
             0);
   EXPECT_NE(out.str().find("bilatnet report"), std::string::npos);
+}
+
+// The CI perf-smoke gate diffs fresh runs against
+// tools/perf/perf_smoke_baseline.jsonl; a stale pin fails here first.
+TEST(PerfSmokeBaselineTest, FreshRunsMatchThePinnedCounters) {
+  const std::vector<ledger_record> pinned =
+      load_ledger(BILATNET_PERF_BASELINE);
+  ASSERT_EQ(pinned.size(), 2u);
+  EXPECT_EQ(pinned[0].scenario, "poa-curve");
+  EXPECT_EQ(pinned[1].scenario, "fig2");
+  for (const ledger_record& run : pinned) {
+    EXPECT_EQ(run.threads, 1);
+    // Connected graphs on 8 vertices (OEIS A001349).
+    EXPECT_EQ(run.counter(obs::names::topologies_profiled), 11117u);
+    EXPECT_EQ(run.counter(obs::names::orderly_candidates), 85023u);
+  }
+
+  const std::string ledger = ::testing::TempDir() + "run_report_perf.jsonl";
+  std::remove(ledger.c_str());
+  for (const char* scenario : {"poa-curve", "fig2"}) {
+    const std::array argv{"prog",      "--n", "8",
+                          "--threads", "1",   "--ledger",
+                          ledger.c_str()};
+    std::ostringstream out;
+    ASSERT_EQ(run_scenario_main(scenario, static_cast<int>(argv.size()),
+                                argv.data(), out),
+              0)
+        << scenario;
+  }
+  const std::vector<ledger_record> fresh = load_ledger(ledger);
+  ASSERT_EQ(fresh.size(), pinned.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(fresh[i].workload_key(), pinned[i].workload_key());
+    EXPECT_EQ(fresh[i].threads, pinned[i].threads);
+    EXPECT_EQ(fresh[i].counters, pinned[i].counters)
+        << pinned[i].workload_key();
+  }
+  std::remove(ledger.c_str());
 }
 
 }  // namespace

@@ -920,11 +920,10 @@ std::string layer_of(const std::string& rel, const layer_config& cfg,
 }
 
 // Which checks see a file. The whole-program passes skip the bench/ and
-// examples/ drivers: they include through the "bnf.hpp"/"harness.hpp"
-// umbrellas, and det-taint resolves calls by name alone, so their
-// clock-reading code would attach to sink call chains. The line rules
-// skip tools/, whose entry points exit by contract. Anything else gets
-// both.
+// examples/ drivers: they include through the "bnf.hpp" umbrella, and
+// det-taint resolves calls by name alone, so their clock-reading code
+// would attach to sink call chains. The line rules skip tools/, whose
+// entry points exit by contract. Anything else gets both.
 bool indexed(const std::string& rel) {
   return !rel.starts_with("bench/") && !rel.starts_with("examples/");
 }
@@ -1508,15 +1507,11 @@ void check_metric_name_literal(const line_input& in,
              out);
     }
   }
-  // Consumer side of the same invariant: the report analyzer and the
-  // bench harness read canonical metric names back out of serialized
-  // artifacts. A name spelled as a quoted literal there drifts silently
-  // the day a producer renames it, so these files must reference names
-  // through obs::names only.
-  if (!starts_with_any(in.file.rel,
-                       {"src/analysis/run_report.", "bench/harness."})) {
-    return;
-  }
+  // Consumer side of the same invariant: the report analyzer reads
+  // canonical metric names back out of serialized ledgers. A name spelled
+  // as a quoted literal there drifts silently the day a producer renames
+  // it, so it must reference names through obs::names only.
+  if (!in.file.rel.starts_with("src/analysis/run_report.")) return;
   static const std::regex name_literal_re(
       R"("(engine|census|equilibria|gen|poa_stream|thread_pool)\.[A-Za-z0-9_.]+")");
   for (std::size_t i = 0; i < in.file.lines.size(); ++i) {
