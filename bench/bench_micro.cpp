@@ -1,9 +1,11 @@
 // Microbenchmarks of the kernels behind the paper's experiments: BFS
 // distance sums, all-pairs distances, canonical labeling, stability
-// records, UCG best responses and level-wise enumeration. These set the
-// throughput envelope for the census sweeps (Figures 2/3).
+// records, UCG best responses, the per-topology census layers and
+// level-wise enumeration. These set the throughput envelope for the
+// census sweeps (Figures 2/3).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -70,6 +72,51 @@ void BM_StabilityRecord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StabilityRecord)->Arg(8)->Arg(10);
+
+// The fixed per-layer corpus: every connected class on 8 vertices
+// (11,117 topologies), in the generator's shard order.
+const std::vector<bnf::graph>& order8_corpus() {
+  static const std::vector<bnf::graph> corpus = [] {
+    const int n = 8;
+    const bnf::enumeration_plan plan(n, 128);
+    std::vector<bnf::graph> graphs;
+    for (std::size_t shard = 0; shard < plan.shard_count(); ++shard) {
+      plan.for_each_key(shard, [&](std::uint64_t key) {
+        graphs.push_back(bnf::graph::from_key64(n, key));
+      });
+    }
+    return graphs;
+  }();
+  return corpus;
+}
+
+// One iteration runs the whole corpus through the layer, reusing one
+// region workspace across calls as the census loops do.
+void BM_UcgNashRegion(benchmark::State& state) {
+  const std::vector<bnf::graph>& corpus = order8_corpus();
+  bnf::ucg_region_workspace scratch;
+  for (auto _ : state) {
+    for (const bnf::graph& g : corpus) {
+      benchmark::DoNotOptimize(bnf::ucg_nash_alpha_region(g, {}, scratch));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(corpus.size()));
+}
+BENCHMARK(BM_UcgNashRegion)->Unit(benchmark::kMillisecond);
+
+void BM_ProfileTopology(benchmark::State& state) {
+  const std::vector<bnf::graph>& corpus = order8_corpus();
+  bnf::ucg_region_workspace scratch;
+  for (auto _ : state) {
+    for (const bnf::graph& g : corpus) {
+      benchmark::DoNotOptimize(bnf::profile_topology(g, true, {}, scratch));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(corpus.size()));
+}
+BENCHMARK(BM_ProfileTopology)->Unit(benchmark::kMillisecond);
 
 void BM_UcgBestResponse(benchmark::State& state) {
   const bnf::graph g = bnf::petersen();

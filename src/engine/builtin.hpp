@@ -6,7 +6,7 @@ namespace bnf {
 
 /// Register fig2, fig3, price-of-stability, sampler-validation and
 /// quickstart into scenario_registry::global(). Idempotent — safe to call
-/// from every entry point (CLI, bench shims, tests).
+/// from every entry point (CLI, examples/quickstart, tests).
 void register_builtin_scenarios();
 
 }  // namespace bnf

@@ -1,6 +1,6 @@
 // Scenario registry and the engine driver. The registry maps names to
 // scenario instances; run_scenario_main is the single entry point shared by
-// the `bilatnet run` subcommand, the legacy bench shims, and the tests — so
+// the `bilatnet run` subcommand, examples/quickstart, and the tests — so
 // every path through an experiment executes identical code.
 #pragma once
 

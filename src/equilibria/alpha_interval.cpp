@@ -36,13 +36,6 @@ alpha_interval alpha_interval::empty_interval() {
   return {rational::from_int(0), rational::from_int(0), false, true};
 }
 
-bool alpha_interval::empty() const {
-  if (!hi.is_infinite() && hi.num <= 0) return true;  // domain is alpha > 0
-  const int cmp = compare(lo, hi);
-  if (cmp != 0) return cmp > 0;
-  return hi.is_infinite() || !(lo_closed && hi_closed);
-}
-
 bool alpha_interval::contains(const rational& alpha) const {
   if (alpha.is_infinite() || alpha.num <= 0) return false;
   const int at_lo = compare(alpha, lo);

@@ -46,7 +46,12 @@ struct alpha_interval {
   /// satisfies; empty() is true for it).
   static alpha_interval empty_interval();
 
-  [[nodiscard]] bool empty() const;
+  [[nodiscard]] bool empty() const {
+    if (!hi.is_infinite() && hi.num <= 0) return true;  // domain is alpha > 0
+    const int cmp = compare(lo, hi);
+    if (cmp != 0) return cmp > 0;
+    return hi.is_infinite() || !(lo_closed && hi_closed);
+  }
 
   /// Exact membership of a rational link cost (alpha > 0 is part of the
   /// test: the games are undefined at non-positive link costs).

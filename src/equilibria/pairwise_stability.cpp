@@ -1,6 +1,7 @@
 #include "equilibria/pairwise_stability.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -33,14 +34,13 @@ long long edge_addition_decrease(const graph& g, int u, int v) {
 stability_record compute_stability_record(const graph& g) {
   expects(is_connected(g),
           "compute_stability_record: requires a connected graph");
-  stability_record record{0.0, std::numeric_limits<double>::infinity(), true};
 
   // All deltas are single-link toggles incident to the measured endpoint,
   // so one base BFS per vertex plus one row-replacement BFS per (pair,
   // endpoint) covers everything — no graph copies, no re-derived base
-  // sums (distance_sum_with_row in graph/paths.hpp).
+  // sums (distance_sum_with_row in graph/paths.hpp), no allocation.
   const int n = g.order();
-  std::vector<long long> base(static_cast<std::size_t>(n));
+  std::array<long long, max_vertices> base{};
   for (int v = 0; v < n; ++v) {
     base[static_cast<std::size_t>(v)] = distance_sum(g, v).sum;
   }
@@ -55,32 +55,38 @@ stability_record compute_stability_record(const graph& g) {
     return cut.sum - base[static_cast<std::size_t>(a)];
   };
 
-  // Collect (least, most) interested savings per missing link, then decide
-  // the boundary case against the final alpha_min.
-  std::vector<std::pair<long long, long long>> savings;
-  for (const auto& [u, v] : g.non_edges()) {
-    const long long dec_u = addition_decrease(u, v);
-    const long long dec_v = addition_decrease(v, u);
-    savings.emplace_back(std::min(dec_u, dec_v), std::max(dec_u, dec_v));
-    record.alpha_min = std::max(
-        record.alpha_min, static_cast<double>(std::min(dec_u, dec_v)));
+  // One pass over the vertex pairs. The boundary case is decided against
+  // the running alpha_min: a missing link whose least-interested saving
+  // raises it starts the verdict afresh, and any attaining link with
+  // asymmetric savings makes the boundary unstable.
+  long long alpha_min = 0;
+  long long alpha_max = infinite_delta;
+  bool boundary_stable = true;
+  for (int u = 0; u < n; ++u) {
+    const std::uint64_t row = g.neighbors(u);
+    for_each_bit(g.vertex_mask() & ~low_bits(u + 1), [&](int v) {
+      if (has_bit(row, v)) {
+        const long long binding =
+            std::min(deletion_increase(u, v), deletion_increase(v, u));
+        alpha_max = std::min(alpha_max, binding);
+        return;
+      }
+      const long long dec_u = addition_decrease(u, v);
+      const long long dec_v = addition_decrease(v, u);
+      const long long least = std::min(dec_u, dec_v);
+      if (least > alpha_min) {
+        alpha_min = least;
+        boundary_stable = true;
+      }
+      if (least == alpha_min && std::max(dec_u, dec_v) > least) {
+        boundary_stable = false;
+      }
+    });
   }
-  for (const auto& [least, most] : savings) {
-    if (static_cast<double>(least) == record.alpha_min && most > least) {
-      record.boundary_stable = false;
-    }
-  }
-
-  for (const auto& [u, v] : g.edges()) {
-    const long long inc_u = deletion_increase(u, v);
-    const long long inc_v = deletion_increase(v, u);
-    const long long binding = std::min(inc_u, inc_v);
-    if (binding < infinite_delta) {
-      record.alpha_max =
-          std::min(record.alpha_max, static_cast<double>(binding));
-    }
-  }
-  return record;
+  return {static_cast<double>(alpha_min),
+          alpha_max < infinite_delta ? static_cast<double>(alpha_max)
+                                     : std::numeric_limits<double>::infinity(),
+          boundary_stable};
 }
 
 stability_interval compute_stability_interval(const graph& g) {

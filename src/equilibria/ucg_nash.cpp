@@ -160,32 +160,50 @@ alpha_interval player_content_interval(const graph& g, int i,
   // dominated by their kept-free reduction (which IS enumerated): the
   // candidate space shrinks from 2^(n-1) to 2^(n-1-|kept|) exactly.
   const std::uint64_t candidates = g.vertex_mask() & ~bit(i) & ~kept_row;
+  const int kept = popcount(kept_row);
+  if (window.empty()) return alpha_interval::empty_interval();
+
+  // Evaluate the BFS only when a subset's best-case constraint could still
+  // tighten the window. Its distance floor (a lower bound on the true sum,
+  // so the prune is sound) puts the bought and kept links at hop 1 and
+  // everyone else at hop >= 2; candidates never meet kept_row, so the
+  // floor, and with it the prune, depends on k_dev alone. Bit k of
+  // `binding` says whether the class k_dev == k may bind; the table
+  // changes only when the window tightens.
+  const int max_k = popcount(candidates);
+  const auto binding_classes = [&] {
+    std::uint64_t binding = 0;
+    for (int k_dev = 0; k_dev <= max_k; ++k_dev) {
+      const int reach = k_dev + kept;
+      const long long floor_sum = reach + 2LL * (n - 1 - reach);
+      bool maybe_binding = false;
+      if (k_dev > k_cur) {
+        const rational best{dist_cur - floor_sum, k_dev - k_cur};
+        maybe_binding = compare(best, window.lo) > 0;
+      } else if (k_dev < k_cur) {
+        const rational best{floor_sum - dist_cur, k_cur - k_dev};
+        maybe_binding =
+            window.hi.is_infinite() || compare(best, window.hi) < 0;
+      } else {
+        maybe_binding = floor_sum < dist_cur;
+      }
+      if (maybe_binding) binding |= bit(k_dev);
+    }
+    return binding;
+  };
+  std::uint64_t binding = binding_classes();
 
   std::uint64_t subset = candidates;
-  while (true) {
+  // Once no class can bind, no later subset is evaluated and the window
+  // is final.
+  while (binding != 0) {
     const int k_dev = popcount(subset);
-    // Distance floor after the deviation: bought links plus links the
-    // other side keeps paying for are at hop 1, everyone else >= 2.
-    const int reach = popcount(subset | kept_row);
-    const long long floor_sum = reach + 2LL * (n - 1 - reach);
-    // Evaluate the BFS only when the subset's best-case constraint could
-    // still tighten the window (floor_sum is a lower bound on the true
-    // distance sum, so these are sound prunes).
-    bool maybe_binding = false;
-    if (k_dev > k_cur) {
-      const rational best{dist_cur - floor_sum, k_dev - k_cur};
-      maybe_binding = compare(best, window.lo) > 0;
-    } else if (k_dev < k_cur) {
-      const rational best{floor_sum - dist_cur, k_cur - k_dev};
-      maybe_binding = window.hi.is_infinite() || compare(best, window.hi) < 0;
-    } else {
-      maybe_binding = floor_sum < dist_cur;
-    }
-    if (maybe_binding) {
+    if (has_bit(binding, k_dev)) {
       const auto [sum, unreached] =
           distance_sum_with_row(g, i, kept_row | subset);
       if (bfs_evaluations != nullptr) ++*bfs_evaluations;
       if (unreached == 0) {
+        bool tightened = false;
         if (k_dev > k_cur) {
           if (sum < dist_cur) {
             const rational bound =
@@ -193,6 +211,7 @@ alpha_interval player_content_interval(const graph& g, int i,
             if (compare(bound, window.lo) > 0) {
               window.lo = bound;
               window.lo_closed = true;
+              tightened = true;
             }
           }
         } else if (k_dev < k_cur) {
@@ -200,15 +219,19 @@ alpha_interval player_content_interval(const graph& g, int i,
           if (window.hi.is_infinite() || compare(bound, window.hi) < 0) {
             window.hi = bound;
             window.hi_closed = true;
+            tightened = true;
           }
         } else if (sum < dist_cur) {
           // Same link budget, strictly shorter distances: the deviation
           // improves at EVERY link cost.
           return alpha_interval::empty_interval();
         }
+        if (tightened) {
+          if (window.empty()) return alpha_interval::empty_interval();
+          binding = binding_classes();
+        }
       }
     }
-    if (window.empty()) return alpha_interval::empty_interval();
     if (subset == 0) break;
     subset = (subset - 1) & candidates;
   }
@@ -218,10 +241,10 @@ alpha_interval player_content_interval(const graph& g, int i,
 }  // namespace
 
 // Reusable arenas of the region search, shared across calls through the
-// public ucg_region_workspace handle. Vectors are assign()ed and the memo
-// clear()ed per topology, so capacity (and the hash table's bucket array)
-// warms up once per thread and every subsequent topology runs
-// allocation-free on the hot path.
+// public ucg_region_workspace handle. Vectors are clear()ed or assign()ed
+// and refilled in place, and the memo clear()ed, per topology, so capacity
+// (and the hash table's bucket array) warms up once per thread and every
+// subsequent topology runs allocation-free on the hot path.
 struct ucg_region_workspace::state {
   std::vector<std::pair<int, int>> edges;           // (u, v), u < v
   std::vector<std::array<alpha_interval, 2>> buyer_window;  // per edge side
@@ -347,7 +370,11 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
 
   const int n = g.order();
   ucg_region_workspace::state& s = *scratch.state_;
-  s.edges = g.edges();
+  s.edges.clear();
+  for (int u = 0; u < n; ++u) {
+    for_each_bit(g.neighbors(u) & ~low_bits(u + 1),
+                 [&](int v) { s.edges.emplace_back(u, v); });
+  }
   s.buyer_window.clear();
   s.content_memo.clear();
   s.region.clear();
@@ -371,15 +398,21 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
   // are unilateral), and every edge needs some endpoint whose severance
   // saving does not exceed alpha.
   alpha_interval root = within;
-  for (const auto& [u, v] : g.non_edges()) {
-    for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
-      const auto [sum, unreached] =
-          single_flip_sum(a, g.neighbors(a) | bit(b));
-      ensures(unreached == 0, "ucg_nash_alpha_region: connected precondition");
-      const long long dec = s.base_distance[static_cast<std::size_t>(a)] - sum;
-      auto& lb = s.addition_lb[static_cast<std::size_t>(a)];
-      if (dec > lb.num) lb = rational::from_int(dec);
-    }
+  for (int u = 0; u < n; ++u) {
+    const std::uint64_t missing =
+        g.vertex_mask() & ~low_bits(u + 1) & ~g.neighbors(u);
+    for_each_bit(missing, [&](int v) {
+      for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
+        const auto [sum, unreached] =
+            single_flip_sum(a, g.neighbors(a) | bit(b));
+        ensures(unreached == 0,
+                "ucg_nash_alpha_region: connected precondition");
+        const long long dec =
+            s.base_distance[static_cast<std::size_t>(a)] - sum;
+        auto& lb = s.addition_lb[static_cast<std::size_t>(a)];
+        if (dec > lb.num) lb = rational::from_int(dec);
+      }
+    });
   }
   for (const rational& lb : s.addition_lb) {
     // Any player's single-addition bound applies to every orientation.

@@ -19,9 +19,14 @@
 //   filter 2: every edge needs a tolerant buyer — an endpoint whose
 //             single-link severance saving does not exceed alpha;
 //   search:   backtracking over buyer orientations, checking each player's
-//             exact best response (2^(n-1) subsets, popcount-pruned and
-//             memoized per (player, paid-set)) as soon as all its incident
-//             edges are assigned.
+//             exact best response as soon as all its incident edges are
+//             assigned, memoized per (player, paid-set). A deviation's
+//             distance floor depends only on how many links it buys, so
+//             whether it could still tighten the player's window is
+//             decided once per popcount class (and again only when the
+//             window tightens); subsets of a class that cannot bind skip
+//             their BFS, and once no class can bind the window is final
+//             and the remaining subsets are not visited.
 //
 // Every comparison against alpha is EXACT: the link cost is converted once
 // to its exact rational value (every double is a binary rational) and all

@@ -14,6 +14,9 @@
 #include <utility>
 #include <vector>
 
+#include "util/bitops.hpp"
+#include "util/contracts.hpp"
+
 namespace bnf {
 
 /// Largest supported vertex count.
@@ -38,7 +41,9 @@ class graph {
   [[nodiscard]] int size() const noexcept;  // number of edges
 
   /// Mask of all vertices: bits 0..n-1.
-  [[nodiscard]] std::uint64_t vertex_mask() const noexcept;
+  [[nodiscard]] std::uint64_t vertex_mask() const noexcept {
+    return low_bits(n_);
+  }
 
   [[nodiscard]] bool has_edge(int u, int v) const;
   void add_edge(int u, int v);
@@ -46,9 +51,18 @@ class graph {
   /// Flip edge (u,v); returns true if the edge exists after the toggle.
   bool toggle_edge(int u, int v);
 
-  [[nodiscard]] int degree(int v) const;
+  // The two hottest accessors of the equilibrium kernels (every BFS
+  // frontier step reads a row) are defined inline so the bounds check
+  // folds into the caller's loop instead of costing a call per row.
+  [[nodiscard]] int degree(int v) const {
+    check_vertex(v);
+    return popcount(adj_[static_cast<std::size_t>(v)]);
+  }
   /// Neighbour mask of v (bit w set iff edge (v,w) present).
-  [[nodiscard]] std::uint64_t neighbors(int v) const;
+  [[nodiscard]] std::uint64_t neighbors(int v) const {
+    check_vertex(v);
+    return adj_[static_cast<std::size_t>(v)];
+  }
 
   /// Copies with a single edge added/removed (no mutation).
   [[nodiscard]] graph with_edge(int u, int v) const;
@@ -88,7 +102,9 @@ class graph {
   friend bool operator==(const graph& a, const graph& b) = default;
 
  private:
-  void check_vertex(int v) const;
+  void check_vertex(int v) const {
+    expects(v >= 0 && v < n_, "graph: vertex index out of range");
+  }
   void check_pair(int u, int v) const;
 
   int n_{0};

@@ -69,15 +69,6 @@ double rational::to_double() const {
   return static_cast<double>(num) / static_cast<double>(den);
 }
 
-int compare(const rational& a, const rational& b) {
-  if (a.is_infinite() || b.is_infinite()) {
-    return (a.is_infinite() ? 1 : 0) - (b.is_infinite() ? 1 : 0);
-  }
-  const int128 lhs = static_cast<int128>(a.num) * b.den;
-  const int128 rhs = static_cast<int128>(b.num) * a.den;
-  return sign_of(lhs - rhs);
-}
-
 int compare(const rational& r, double x) {
   expects(!std::isnan(x), "compare(rational, double): NaN grid value");
   if (std::isinf(x)) {

@@ -42,7 +42,18 @@ struct rational {
 
 /// Exact three-way comparison (negative / zero / positive like strcmp).
 /// +infinity compares greater than every finite value and equal to itself.
-[[nodiscard]] int compare(const rational& a, const rational& b);
+/// Inline: the equilibrium searches make hundreds of these per topology.
+[[nodiscard]] inline int compare(const rational& a, const rational& b) {
+  if (a.is_infinite() || b.is_infinite()) {
+    return (a.is_infinite() ? 1 : 0) - (b.is_infinite() ? 1 : 0);
+  }
+  // __extension__ silences the -Wpedantic "does not support __int128"
+  // note; both GCC and Clang provide the type on every supported platform.
+  __extension__ typedef __int128 int128;
+  const int128 lhs = static_cast<int128>(a.num) * b.den;
+  const int128 rhs = static_cast<int128>(b.num) * a.den;
+  return lhs < rhs ? -1 : (lhs > rhs ? 1 : 0);
+}
 
 [[nodiscard]] inline bool operator<(const rational& a, const rational& b) {
   return compare(a, b) < 0;

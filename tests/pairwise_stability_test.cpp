@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "gen/enumerate.hpp"
 #include "gen/named.hpp"
@@ -113,6 +115,47 @@ TEST(PairwiseStabilityTest, IntervalMatchesDirectCheckExhaustively) {
         }
       },
       {.connected_only = true});
+}
+
+TEST(PairwiseStabilityTest, RecordMatchesTwoPassReferenceOnAllOrder7Graphs) {
+  // The record is built in one pass over the vertex pairs. Rebuild it the
+  // long way from the public per-link deltas: alpha_min first, then the
+  // boundary verdict against the final alpha_min, then alpha_max.
+  int graphs = 0;
+  for_each_graph(
+      7,
+      [&](const graph& g) {
+        long long alpha_min = 0;
+        for (const auto& [u, v] : g.non_edges()) {
+          alpha_min = std::max(alpha_min,
+                               std::min(edge_addition_decrease(g, u, v),
+                                        edge_addition_decrease(g, v, u)));
+        }
+        bool boundary_stable = true;
+        for (const auto& [u, v] : g.non_edges()) {
+          const long long dec_u = edge_addition_decrease(g, u, v);
+          const long long dec_v = edge_addition_decrease(g, v, u);
+          if (std::min(dec_u, dec_v) == alpha_min && dec_u != dec_v) {
+            boundary_stable = false;
+          }
+        }
+        double alpha_max = std::numeric_limits<double>::infinity();
+        for (const auto& [u, v] : g.edges()) {
+          const long long binding = std::min(edge_deletion_increase(g, u, v),
+                                             edge_deletion_increase(g, v, u));
+          if (binding < infinite_delta) {
+            alpha_max = std::min(alpha_max, static_cast<double>(binding));
+          }
+        }
+        const stability_record record = compute_stability_record(g);
+        ASSERT_EQ(record.alpha_min, static_cast<double>(alpha_min))
+            << to_string(g);
+        ASSERT_EQ(record.alpha_max, alpha_max) << to_string(g);
+        ASSERT_EQ(record.boundary_stable, boundary_stable) << to_string(g);
+        ++graphs;
+      },
+      {.connected_only = true});
+  EXPECT_EQ(graphs, 853);
 }
 
 TEST(PairwiseStabilityTest, OctahedronBoundaryCase) {

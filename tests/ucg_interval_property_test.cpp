@@ -2,20 +2,108 @@
 // (ucg_nash_alpha_region / ucg_nash_interval) against the per-alpha
 // orientation search (is_ucg_nash) over every connected non-isomorphic
 // graph on n <= 6 vertices, probing inside, outside, and exactly on the
-// interval endpoints.
+// interval endpoints. Both of those share the pruned content-interval
+// kernel, so the region is also checked against an unpruned reference
+// built here from the definition alone.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "equilibria/ucg_nash.hpp"
 #include "gen/enumerate.hpp"
 #include "gen/named.hpp"
 #include "graph/graph.hpp"
+#include "graph/paths.hpp"
 #include "testing.hpp"
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 
 namespace bnf {
 namespace {
+
+// The UCG Nash region straight from the definition: every orientation of
+// every edge, and for each player every subset S of the others as a
+// deviation (its paid links replaced by S, the links the other side pays
+// for kept), evaluated by one BFS on a copy of the graph. No floor prune,
+// no kept-row reduction, no orientation prune. Content intervals are
+// memoised per (player, paid set).
+class reference_region {
+ public:
+  explicit reference_region(const graph& g)
+      : g_(g),
+        memo_(static_cast<std::size_t>(g.order()) << g.order()) {}
+
+  alpha_interval_set region() {
+    const int n = g_.order();
+    const std::vector<std::pair<int, int>> edges = g_.edges();
+    alpha_interval_set result;
+    for (std::uint64_t orientation = 0;
+         orientation < (std::uint64_t{1} << edges.size()); ++orientation) {
+      std::vector<std::uint64_t> paid(static_cast<std::size_t>(n), 0);
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        const auto [u, v] = edges[e];
+        if (has_bit(orientation, static_cast<int>(e))) {
+          paid[static_cast<std::size_t>(v)] |= bit(u);
+        } else {
+          paid[static_cast<std::size_t>(u)] |= bit(v);
+        }
+      }
+      alpha_interval window;
+      for (int i = 0; i < n && !window.empty(); ++i) {
+        window = window.intersect(
+            content(i, paid[static_cast<std::size_t>(i)]));
+      }
+      result.add(window);
+    }
+    return result;
+  }
+
+ private:
+  const alpha_interval& content(int i, std::uint64_t paid) {
+    auto& slot = memo_[(static_cast<std::size_t>(i) << g_.order()) | paid];
+    if (!slot) slot = compute_content(i, paid);
+    return *slot;
+  }
+
+  // alpha * |S| + dist(S) >= alpha * |paid| + dist(G) for every S: each
+  // deviation contributes one weak half-line constraint on alpha.
+  alpha_interval compute_content(int i, std::uint64_t paid) const {
+    const long long dist_cur = distance_sum(g_, i).sum;
+    const long long k_cur = popcount(paid);
+    const std::uint64_t others = g_.vertex_mask() & ~bit(i);
+    alpha_interval window;
+    std::uint64_t subset = others;
+    while (true) {
+      graph deviated = g_;
+      for_each_bit(paid, [&](int v) { deviated.remove_edge(i, v); });
+      for_each_bit(subset, [&](int v) {
+        if (!deviated.has_edge(i, v)) deviated.add_edge(i, v);
+      });
+      const distance_summary after = distance_sum(deviated, i);
+      if (after.unreached == 0) {
+        const long long gain = dist_cur - after.sum;  // distance saved
+        const long long extra = popcount(subset) - k_cur;  // links added
+        alpha_interval constraint;
+        if (extra > 0 && gain > 0) {
+          constraint.lo = rational::make(gain, extra);
+          constraint.lo_closed = true;
+        } else if (extra < 0) {
+          constraint.hi = rational::make(-gain, -extra);
+        } else if (extra == 0 && gain > 0) {
+          constraint = alpha_interval::empty_interval();
+        }
+        window = window.intersect(constraint);
+      }
+      if (subset == 0) break;
+      subset = (subset - 1) & others;
+    }
+    return window;
+  }
+
+  const graph& g_;
+  std::vector<std::optional<alpha_interval>> memo_;
+};
 
 // Probes that stay clear of the per-alpha checker's 1e-9 tie tolerance:
 // fixed off-threshold values, interval midpoints, and +/-1e-5 nudges
@@ -95,6 +183,22 @@ TEST(UcgIntervalPropertyTest, SmallRegionsAreSingleIntervals) {
           const auto region = ucg_nash_alpha_region(g).region;
           ASSERT_LE(region.parts().size(), 1U)
               << to_string(g) << " region " << to_string(region);
+        },
+        {.connected_only = true});
+  }
+}
+
+TEST(UcgIntervalPropertyTest, RegionMatchesUnprunedReference) {
+  // n <= 6 exhaustively; n = 7 up to 14 edges keeps the reference's
+  // 2^m orientations tier-1 sized.
+  for (int n = 2; n <= 7; ++n) {
+    for_each_graph(
+        n,
+        [&](const graph& g) {
+          if (n == 7 && g.size() > 14) return;
+          ASSERT_EQ(ucg_nash_alpha_region(g).region,
+                    reference_region(g).region())
+              << to_string(g);
         },
         {.connected_only = true});
   }
