@@ -105,6 +105,18 @@ void BM_UcgNashRegion(benchmark::State& state) {
 }
 BENCHMARK(BM_UcgNashRegion)->Unit(benchmark::kMillisecond);
 
+void BM_StabilityRecordCorpus(benchmark::State& state) {
+  const std::vector<bnf::graph>& corpus = order8_corpus();
+  for (auto _ : state) {
+    for (const bnf::graph& g : corpus) {
+      benchmark::DoNotOptimize(bnf::compute_stability_record(g));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(corpus.size()));
+}
+BENCHMARK(BM_StabilityRecordCorpus)->Unit(benchmark::kMillisecond);
+
 void BM_ProfileTopology(benchmark::State& state) {
   const std::vector<bnf::graph>& corpus = order8_corpus();
   bnf::ucg_region_workspace scratch;

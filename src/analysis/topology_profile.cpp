@@ -7,7 +7,6 @@
 #include <string>
 
 #include "gen/enumerate.hpp"
-#include "graph/paths.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
@@ -21,8 +20,10 @@ topology_profile profile_topology(const graph& g, bool include_ucg,
                                   ucg_region_workspace& scratch) {
   topology_profile profile;
   profile.edges = g.size();
-  profile.distance_total = total_distance(g).sum;
-  profile.bcg = compute_stability_record(g);
+  const bcg_summary bcg = bcg_profile(g);
+  profile.distance_total = bcg.distance_total;
+  profile.bcg = bcg.record;
+  profile.bcg_fallback_bfs = bcg.fallback_bfs;
   profile.bcg_interval = to_alpha_interval(profile.bcg);
   if (include_ucg) {
     profile.ucg = ucg_nash_alpha_region(g, ucg_clamp, scratch).region;
@@ -130,6 +131,8 @@ profile_histogram build_profile_histogram(
   obs::counter& shards_done = obs::get_counter(obs::names::shards_done);
   obs::counter& topologies_profiled =
       obs::get_counter(obs::names::topologies_profiled);
+  obs::counter& bcg_fallback_bfs =
+      obs::get_counter(obs::names::bcg_fallback_bfs);
   obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_ms);
   obs::histogram& shard_sizes =
       obs::get_histogram(obs::names::shard_topologies);
@@ -147,15 +150,19 @@ profile_histogram build_profile_histogram(
       span.arg("shard", shard);
       stopwatch shard_timer;
       shard_map& bins = shard_bins[shard];
+      std::uint64_t fallback_bfs = 0;
       shard_topologies[shard] =
           plan.for_each_key(shard, [&](std::uint64_t key) {
             const graph g = graph::from_key64(n, key);
-            ++bins[key_of(profile_topology(g, options.include_ucg,
-                                           options.ucg_clamp, scratch))];
+            const topology_profile profile = profile_topology(
+                g, options.include_ucg, options.ucg_clamp, scratch);
+            fallback_bfs += static_cast<std::uint64_t>(profile.bcg_fallback_bfs);
+            ++bins[key_of(profile)];
           });
       span.arg("topologies", shard_topologies[shard]);
       shards_done.add(1);
       topologies_profiled.add(shard_topologies[shard]);
+      bcg_fallback_bfs.add(fallback_bfs);
       shard_wall.record(
           static_cast<std::uint64_t>(shard_timer.seconds() * 1000.0));
       shard_sizes.record(shard_topologies[shard]);

@@ -32,6 +32,9 @@ struct topology_profile {
   /// Exact UCG Nash region (alpha_UCG units). Empty when include_ucg was
   /// false.
   alpha_interval_set ucg;
+  /// Work tally, not part of the profile's identity: the BFS the BCG
+  /// record spent on edges in no triangle (bcg_summary::fallback_bfs).
+  int bcg_fallback_bfs{0};
 };
 
 /// Profile one connected topology. `ucg_clamp` restricts the UCG region

@@ -4,7 +4,9 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <utility>
 
 #include "graph/paths.hpp"
 #include "util/bitops.hpp"
@@ -31,62 +33,154 @@ long long edge_addition_decrease(const graph& g, int u, int v) {
   return before.sum - after.sum;
 }
 
-stability_record compute_stability_record(const graph& g) {
-  expects(is_connected(g),
-          "compute_stability_record: requires a connected graph");
+namespace {
 
-  // All deltas are single-link toggles incident to the measured endpoint,
-  // so one base BFS per vertex plus one row-replacement BFS per (pair,
-  // endpoint) covers everything — no graph copies, no re-derived base
-  // sums (distance_sum_with_row in graph/paths.hpp), no allocation.
-  const int n = g.order();
-  std::array<long long, max_vertices> base{};
-  for (int v = 0; v < n; ++v) {
-    base[static_cast<std::size_t>(v)] = distance_sum(g, v).sum;
+// The addition identity for both endpoints of a missing link ab, as
+// {saving of a, saving of b}. The r = 0 term is the far endpoint itself,
+// which is not adjacent, so each saving starts at 1. Rows are padded to
+// the common depth, so every call has the same trip count; radii past
+// ecc - 2 contribute nothing.
+std::pair<long long, long long> addition_savings(const distance_balls& balls,
+                                                 int a, int b) {
+  const std::span<const std::uint64_t> ball_a = balls.balls(a);
+  const std::span<const std::uint64_t> ball_b = balls.balls(b);
+  long long saving_a = 1;
+  long long saving_b = 1;
+  for (std::size_t r = 1; r + 2 <= static_cast<std::size_t>(balls.depth());
+       ++r) {
+    saving_a += popcount(ball_b[r] & ~ball_a[r + 1]);
+    saving_b += popcount(ball_a[r] & ~ball_b[r + 1]);
   }
-  const auto addition_decrease = [&](int a, int b) {
-    return base[static_cast<std::size_t>(a)] -
-           distance_sum_with_row(g, a, g.neighbors(a) | bit(b)).sum;
-  };
-  const auto deletion_increase = [&](int a, int b) {
-    const distance_summary cut =
-        distance_sum_with_row(g, a, g.neighbors(a) & ~bit(b));
-    if (cut.unreached > 0) return infinite_delta;
-    return cut.sum - base[static_cast<std::size_t>(a)];
-  };
+  return {saving_a, saving_b};
+}
 
-  // One pass over the vertex pairs. The boundary case is decided against
-  // the running alpha_min: a missing link whose least-interested saving
-  // raises it starts the verdict afresh, and any attaining link with
-  // asymmetric savings makes the boundary unstable.
+// closer[c] = closer(a,c) for every neighbour c of a; returns twice(a).
+std::uint64_t closer_sets(const graph& g, const distance_balls& balls, int a,
+                          std::array<std::uint64_t, max_vertices>& closer) {
+  const std::span<const std::uint64_t> ball_a = balls.balls(a);
+  std::uint64_t once = 0;
+  std::uint64_t twice = 0;
+  for_each_bit(g.neighbors(a), [&](int c) {
+    const std::span<const std::uint64_t> ball_c = balls.balls(c);
+    std::uint64_t targets = 0;
+    for (std::size_t r = 0; r < static_cast<std::size_t>(balls.depth()); ++r) {
+      targets |= ball_c[r] & ~ball_a[r];
+    }
+    closer[static_cast<std::size_t>(c)] = targets;
+    twice |= once & targets;
+    once |= targets;
+  });
+  return twice;
+}
+
+// The fallback for an edge in no triangle: one BFS from a without b.
+long long deletion_increase_by_bfs(const graph& g, const distance_balls& balls,
+                                   int a, int b) {
+  const distance_summary cut =
+      distance_sum_with_row(g, a, g.neighbors(a) & ~bit(b));
+  if (cut.unreached > 0) return infinite_delta;
+  return cut.sum - balls.sum(a);
+}
+
+}  // namespace
+
+long long ball_addition_decrease(const graph& g, const distance_balls& balls,
+                                 int a, int b) {
+  expects(balls.connected() && balls.order() == g.order(),
+          "ball_addition_decrease: requires the balls of a connected g");
+  expects(a != b && !g.has_edge(a, b),
+          "ball_addition_decrease: (a,b) must be a non-edge");
+  return addition_savings(balls, a, b).first;
+}
+
+long long ball_deletion_increase(const graph& g, const distance_balls& balls,
+                                 int a, int b) {
+  expects(balls.connected() && balls.order() == g.order(),
+          "ball_deletion_increase: requires the balls of a connected g");
+  expects(g.has_edge(a, b), "ball_deletion_increase: (a,b) must be an edge");
+  if ((g.neighbors(a) & g.neighbors(b)) == 0) {
+    return deletion_increase_by_bfs(g, balls, a, b);
+  }
+  std::array<std::uint64_t, max_vertices> closer{};
+  const std::uint64_t twice = closer_sets(g, balls, a, closer);
+  return popcount(closer[static_cast<std::size_t>(b)] & ~twice);
+}
+
+bcg_summary bcg_profile(const graph& g) {
+  // One BFS per vertex yields every ball; the identities in the header
+  // turn them into the distance total, every addition saving and every
+  // deletion increase of an edge in a triangle.
+  const distance_balls balls(g);
+  expects(balls.connected(),
+          "compute_stability_record: requires a connected graph");
+  const int n = g.order();
+  bcg_summary summary;
+  summary.distance_total = balls.total();
+
+  // Additions. The boundary case is decided against the running
+  // alpha_min: a missing link whose least-interested saving raises it
+  // starts the verdict afresh, and any attaining link with asymmetric
+  // savings makes the boundary unstable.
   long long alpha_min = 0;
-  long long alpha_max = infinite_delta;
   bool boundary_stable = true;
-  for (int u = 0; u < n; ++u) {
-    const std::uint64_t row = g.neighbors(u);
-    for_each_bit(g.vertex_mask() & ~low_bits(u + 1), [&](int v) {
-      if (has_bit(row, v)) {
-        const long long binding =
-            std::min(deletion_increase(u, v), deletion_increase(v, u));
-        alpha_max = std::min(alpha_max, binding);
-        return;
-      }
-      const long long dec_u = addition_decrease(u, v);
-      const long long dec_v = addition_decrease(v, u);
-      const long long least = std::min(dec_u, dec_v);
-      if (least > alpha_min) {
-        alpha_min = least;
-        boundary_stable = true;
-      }
-      if (least == alpha_min && std::max(dec_u, dec_v) > least) {
-        boundary_stable = false;
+  for (int a = 0; a < n; ++a) {
+    for_each_bit(g.vertex_mask() & ~g.neighbors(a) & ~low_bits(a + 1),
+                 [&](int b) {
+                   const auto [dec_a, dec_b] = addition_savings(balls, a, b);
+                   const long long least = std::min(dec_a, dec_b);
+                   if (least > alpha_min) {
+                     alpha_min = least;
+                     boundary_stable = true;
+                   }
+                   if (least == alpha_min && std::max(dec_a, dec_b) > least) {
+                     boundary_stable = false;
+                   }
+                 });
+  }
+
+  // Deletions. Severing ab moves b itself away from a, so no increase is
+  // below 1 and alpha_max = 1 ends the search. Edges in a triangle go
+  // first; the BFS fallback then runs only while an edge in no triangle
+  // can still undercut them.
+  long long alpha_max = infinite_delta;
+  std::array<std::uint64_t, max_vertices> closer{};
+  std::array<std::uint64_t, max_vertices> triangle_free{};
+  for (int a = 0; a < n && alpha_max > 1; ++a) {
+    const std::uint64_t row = g.neighbors(a);
+    std::uint64_t in_triangle = 0;
+    for_each_bit(row, [&](int b) {
+      if ((g.neighbors(b) & row) != 0) in_triangle |= bit(b);
+    });
+    triangle_free[static_cast<std::size_t>(a)] = row & ~in_triangle;
+    if (in_triangle == 0) continue;
+    const std::uint64_t twice = closer_sets(g, balls, a, closer);
+    for_each_bit(in_triangle, [&](int b) {
+      alpha_max = std::min<long long>(
+          alpha_max, popcount(closer[static_cast<std::size_t>(b)] & ~twice));
+    });
+  }
+  for (int a = 0; a < n && alpha_max > 1; ++a) {
+    for_each_bit(triangle_free[static_cast<std::size_t>(a)], [&](int b) {
+      ++summary.fallback_bfs;
+      const long long increase = deletion_increase_by_bfs(g, balls, a, b);
+      if (increase < infinite_delta) {
+        alpha_max = std::min(alpha_max, increase);
+      } else {
+        // A bridge: b loses a's side as surely as a loses b's.
+        triangle_free[static_cast<std::size_t>(b)] &= ~bit(a);
       }
     });
   }
-  return {static_cast<double>(alpha_min),
-          alpha_max < infinite_delta ? static_cast<double>(alpha_max)
-                                     : std::numeric_limits<double>::infinity(),
-          boundary_stable};
+  summary.record = {
+      static_cast<double>(alpha_min),
+      alpha_max < infinite_delta ? static_cast<double>(alpha_max)
+                                 : std::numeric_limits<double>::infinity(),
+      boundary_stable};
+  return summary;
+}
+
+stability_record compute_stability_record(const graph& g) {
+  return bcg_profile(g).record;
 }
 
 stability_interval compute_stability_interval(const graph& g) {

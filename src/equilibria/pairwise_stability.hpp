@@ -9,6 +9,38 @@
 // impose no constraint: severing one costs infinitely much).
 //
 // All deltas are exact integers (hop counts); infinities are explicit.
+//
+// The record comes from one BFS per vertex. Each BFS keeps its cumulative
+// balls B(v,r) = {j : d(v,j) <= r} (graph/paths.hpp, distance_balls), and
+// two identities read the single-link deltas off the balls in integer
+// popcounts:
+//
+// * Addition. Link ab changes only a's row, and a shortest path from a
+//   uses the new link only as its first edge, so d'(a,j) =
+//   min(d(a,j), 1 + d(b,j)). Target j then contributes
+//   max(0, d(a,j) - 1 - d(b,j)) to a's saving, which is the number of
+//   radii r >= 0 with d(b,j) <= r and d(a,j) > r + 1. Counting by r:
+//     saving(a; ab) = sum_{r=0}^{ecc(a)-2} |B(b,r) \ B(a,r+1)|.
+//
+// * Deletion of an edge in a triangle. Let closer(a,c), for a neighbour
+//   c of a, be the targets c lies one step closer to than a:
+//     closer(a,c) = union_r B(c,r) \ B(a,r),
+//   and twice(a) the targets two or more neighbours of a lie closer to.
+//   Severing ab can only lengthen paths, and only for targets whose sole
+//   closer neighbour is b: any other closer neighbour c reaches j by a
+//   shortest path that avoids a, so a -> c -> ... -> j survives. Such a
+//   target j lengthens by at least 1, and by exactly 1 when a and b
+//   share a neighbour c: a shortest path from b to j never revisits a
+//   (else d(b,j) > d(a,j)), so a -> c -> b -> ... -> j has length
+//   d(a,j) + 1 in G - ab. Hence
+//     increase(a; ab) = |closer(a,b) \ twice(a)|.
+//
+// An edge in no triangle falls back to one row-replacement BFS per
+// endpoint (distance_sum_with_row); a bridge settles at its first BFS
+// with infinite_delta. Severing ab moves b itself away from a, so no
+// increase is below 1: the triangle edges go first, and the fallback runs
+// only while they leave alpha_max above 1. The distance total is the sum
+// of the base BFS.
 #pragma once
 
 #include <optional>
@@ -16,6 +48,7 @@
 
 #include "equilibria/alpha_interval.hpp"
 #include "graph/graph.hpp"
+#include "graph/paths.hpp"
 
 namespace bnf {
 
@@ -72,6 +105,34 @@ struct stability_record {
 
 /// One-pass exact stability record (requires connected g).
 [[nodiscard]] stability_record compute_stability_record(const graph& g);
+
+/// What the stability record's pass over a graph yields.
+struct bcg_summary {
+  stability_record record;
+  /// Sum of d(i,j) over ordered pairs; equals total_distance(g).sum.
+  long long distance_total{0};
+  /// Row-replacement BFS spent on edges in no triangle (work tally).
+  int fallback_bfs{0};
+};
+
+/// compute_stability_record plus the distance total from the same BFS
+/// balls (requires connected g).
+[[nodiscard]] bcg_summary bcg_profile(const graph& g);
+
+/// One delta at a time, through the helpers compute_stability_record
+/// applies in bulk: equal to edge_addition_decrease and
+/// edge_deletion_increase, and there to cross-check the identities link
+/// by link. `balls` must be distance_balls(g) of a connected g.
+/// Saving of a from adding (a,b). Requires (a,b) not in E, a != b.
+[[nodiscard]] long long ball_addition_decrease(const graph& g,
+                                               const distance_balls& balls,
+                                               int a, int b);
+/// Increase to a from severing (a,b): the triangle identity when a and b
+/// share a neighbour, else one row-replacement BFS (infinite_delta for a
+/// bridge). Requires (a,b) in E.
+[[nodiscard]] long long ball_deletion_increase(const graph& g,
+                                               const distance_balls& balls,
+                                               int a, int b);
 
 /// The record as an exact alpha interval: (alpha_min, alpha_max], closed
 /// at alpha_min iff boundary_stable. The record's endpoints are integer

@@ -98,6 +98,44 @@ int distance_matrix::at(int u, int v) const {
   return cells_[static_cast<std::size_t>(u) * n_ + static_cast<std::size_t>(v)];
 }
 
+distance_balls::distance_balls(const graph& g) : n_(g.order()) {
+  const std::uint64_t everyone = g.vertex_mask();
+  std::array<int, max_vertices> ecc{};
+  for (int v = 0; v < n_; ++v) {
+    std::array<std::uint64_t, max_vertices>& row =
+        rows_[static_cast<std::size_t>(v)];
+    std::uint64_t visited = bit(v);
+    std::uint64_t frontier = visited;
+    row[0] = visited;
+    long long sum = 0;
+    int radius = 0;
+    while (visited != everyone) {
+      std::uint64_t next = 0;
+      for_each_bit(frontier, [&](int u) { next |= g.neighbors(u); });
+      next &= ~visited;
+      if (next == 0) break;
+      ++radius;
+      visited |= next;
+      row[static_cast<std::size_t>(radius)] = visited;
+      sum += static_cast<long long>(radius) * popcount(next);
+      frontier = next;
+    }
+    ecc[static_cast<std::size_t>(v)] = radius;
+    sums_[static_cast<std::size_t>(v)] = sum;
+    total_ += sum;
+    depth_ = std::max(depth_, radius);
+    if (visited != everyone) connected_ = false;
+  }
+  // Pad every row out to the common depth with its component.
+  for (int v = 0; v < n_; ++v) {
+    std::array<std::uint64_t, max_vertices>& row =
+        rows_[static_cast<std::size_t>(v)];
+    const int last = ecc[static_cast<std::size_t>(v)];
+    std::fill(row.begin() + last + 1, row.begin() + depth_ + 1,
+              row[static_cast<std::size_t>(last)]);
+  }
+}
+
 total_distance_result total_distance(const graph& g) {
   total_distance_result result;
   for (int v = 0; v < g.order(); ++v) {

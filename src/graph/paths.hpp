@@ -5,9 +5,11 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/contracts.hpp"
 
 namespace bnf {
 
@@ -62,6 +64,54 @@ class distance_matrix {
   bool connected_{true};
   long long total_{0};
   std::vector<std::int8_t> cells_;
+};
+
+/// All-pairs distances as cumulative BFS balls, one BFS per source:
+/// balls(v)[r] is the mask of vertices within distance r of v. A ball is
+/// the union of the BFS layers 0..r, so set algebra on balls answers
+/// distance questions without a matrix of hop counts:
+///   d(v,j) <= r  <=>  j in balls(v)[r],
+///   sum_j d(v,j) = sum_{r=0}^{ecc(v)-1} (|component| - |balls(v)[r]|).
+/// Rows are stored up to depth(), the largest eccentricity of any source
+/// within its component; past its own eccentricity a row stays at v's
+/// component.
+class distance_balls {
+ public:
+  explicit distance_balls(const graph& g);
+
+  [[nodiscard]] int order() const noexcept { return n_; }
+  /// Largest eccentricity within a component (0 for K1 and edgeless
+  /// graphs).
+  [[nodiscard]] int depth() const noexcept { return depth_; }
+  /// Balls of v for radii 0..depth().
+  [[nodiscard]] std::span<const std::uint64_t> balls(int v) const {
+    check_vertex(v);
+    return {rows_[static_cast<std::size_t>(v)].data(),
+            static_cast<std::size_t>(depth_) + 1};
+  }
+  /// Sum of distances from v to the vertices it reaches (distance_sum).
+  [[nodiscard]] long long sum(int v) const {
+    check_vertex(v);
+    return sums_[static_cast<std::size_t>(v)];
+  }
+  /// Sum over ordered pairs of finite distances (total_distance).
+  [[nodiscard]] long long total() const noexcept { return total_; }
+  [[nodiscard]] bool connected() const noexcept { return connected_; }
+
+ private:
+  void check_vertex(int v) const {
+    expects(v >= 0 && v < n_, "distance_balls: vertex index out of range");
+  }
+
+  int n_{0};
+  int depth_{0};
+  bool connected_{true};
+  long long total_{0};
+  std::array<long long, max_vertices> sums_{};
+  // Left uninitialised because zeroing 32 KB per graph would cost more
+  // than the BFS: only radii 0..depth_ of rows 0..n_-1 are read, and the
+  // constructor writes exactly those.
+  std::array<std::array<std::uint64_t, max_vertices>, max_vertices> rows_;
 };
 
 /// Sum of d(i,j) over all ordered pairs; second member false if the graph

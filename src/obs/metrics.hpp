@@ -261,6 +261,9 @@ inline constexpr const char* shards_done = "engine.shards_done";
 /// flushed per shard).
 inline constexpr const char* topologies_profiled =
     "census.topologies_profiled";
+/// Row-replacement BFS the BCG stability record spent on edges in no
+/// triangle (counter, flushed per shard with topologies_profiled).
+inline constexpr const char* bcg_fallback_bfs = "equilibria.bcg.fallback_bfs";
 /// Parametric UCG region searches (one per profiled topology when UCG is
 /// on).
 inline constexpr const char* region_searches =

@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "gen/enumerate.hpp"
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "graph/canonical.hpp"
+#include "graph/paths.hpp"
 #include "testing.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -117,45 +119,140 @@ TEST(PairwiseStabilityTest, IntervalMatchesDirectCheckExhaustively) {
       {.connected_only = true});
 }
 
+void expect_record_equal(const stability_record& actual,
+                         const stability_record& expected, const graph& g) {
+  ASSERT_EQ(actual.alpha_min, expected.alpha_min) << to_string(g);
+  ASSERT_EQ(actual.alpha_max, expected.alpha_max) << to_string(g);
+  ASSERT_EQ(actual.boundary_stable, expected.boundary_stable) << to_string(g);
+}
+
 TEST(PairwiseStabilityTest, RecordMatchesTwoPassReferenceOnAllOrder7Graphs) {
   // The record is built in one pass over the vertex pairs. Rebuild it the
-  // long way from the public per-link deltas: alpha_min first, then the
-  // boundary verdict against the final alpha_min, then alpha_max.
+  // long way from the public per-link deltas.
   int graphs = 0;
   for_each_graph(
       7,
       [&](const graph& g) {
-        long long alpha_min = 0;
-        for (const auto& [u, v] : g.non_edges()) {
-          alpha_min = std::max(alpha_min,
-                               std::min(edge_addition_decrease(g, u, v),
-                                        edge_addition_decrease(g, v, u)));
-        }
-        bool boundary_stable = true;
-        for (const auto& [u, v] : g.non_edges()) {
-          const long long dec_u = edge_addition_decrease(g, u, v);
-          const long long dec_v = edge_addition_decrease(g, v, u);
-          if (std::min(dec_u, dec_v) == alpha_min && dec_u != dec_v) {
-            boundary_stable = false;
-          }
-        }
-        double alpha_max = std::numeric_limits<double>::infinity();
-        for (const auto& [u, v] : g.edges()) {
-          const long long binding = std::min(edge_deletion_increase(g, u, v),
-                                             edge_deletion_increase(g, v, u));
-          if (binding < infinite_delta) {
-            alpha_max = std::min(alpha_max, static_cast<double>(binding));
-          }
-        }
-        const stability_record record = compute_stability_record(g);
-        ASSERT_EQ(record.alpha_min, static_cast<double>(alpha_min))
-            << to_string(g);
-        ASSERT_EQ(record.alpha_max, alpha_max) << to_string(g);
-        ASSERT_EQ(record.boundary_stable, boundary_stable) << to_string(g);
+        expect_record_equal(compute_stability_record(g),
+                            testing::two_pass_stability_record(g), g);
         ++graphs;
       },
       {.connected_only = true});
   EXPECT_EQ(graphs, 853);
+}
+
+// Which of the three deletion paths each edge takes.
+struct deletion_paths {
+  int triangle{0};  // the ball identity
+  int fallback{0};  // row-replacement BFS, finite
+  int bridge{0};    // row-replacement BFS, infinite
+};
+
+// Every ordered single-link delta read off the balls must equal the
+// direct BFS definition.
+void expect_ball_deltas_match(const graph& g, deletion_paths& seen) {
+  const distance_balls balls(g);
+  for (const auto& [u, v] : g.non_edges()) {
+    ASSERT_EQ(ball_addition_decrease(g, balls, u, v),
+              edge_addition_decrease(g, u, v))
+        << to_string(g) << " add " << u << "," << v;
+    ASSERT_EQ(ball_addition_decrease(g, balls, v, u),
+              edge_addition_decrease(g, v, u))
+        << to_string(g) << " add " << v << "," << u;
+  }
+  for (const auto& [u, v] : g.edges()) {
+    if ((g.neighbors(u) & g.neighbors(v)) != 0) {
+      ++seen.triangle;
+    } else if (is_bridge(g, u, v)) {
+      ++seen.bridge;
+    } else {
+      ++seen.fallback;
+    }
+    ASSERT_EQ(ball_deletion_increase(g, balls, u, v),
+              edge_deletion_increase(g, u, v))
+        << to_string(g) << " cut " << u << "," << v;
+    ASSERT_EQ(ball_deletion_increase(g, balls, v, u),
+              edge_deletion_increase(g, v, u))
+        << to_string(g) << " cut " << v << "," << u;
+  }
+}
+
+TEST(PairwiseStabilityTest, BallDeltasMatchDirectDefinitionsOnAllSmallGraphs) {
+  // The record exposes only the binding deltas, so check each one: every
+  // connected graph on 2..7 vertices, every ordered pair.
+  deletion_paths seen;
+  int graphs = 0;
+  for (int n = 2; n <= 7; ++n) {
+    for_each_graph(
+        n,
+        [&](const graph& g) {
+          expect_ball_deltas_match(g, seen);
+          ++graphs;
+        },
+        {.connected_only = true});
+  }
+  EXPECT_EQ(graphs, 1 + 2 + 6 + 21 + 112 + 853);
+  EXPECT_GT(seen.triangle, 0);
+  EXPECT_GT(seen.fallback, 0);
+  EXPECT_GT(seen.bridge, 0);
+}
+
+TEST(PairwiseStabilityTest, TriangleFreeGraphsTakeTheFallbackEverywhere) {
+  // No edge of these graphs lies in a triangle, so every deletion delta
+  // comes from the row-replacement BFS: Petersen, cycles, K_{3,3}, trees
+  // and Hoffman-Singleton (n = 50).
+  std::vector<graph> graphs = {petersen(), complete_bipartite(3, 3),
+                               hoffman_singleton(), path(9), star(7)};
+  for (int n = 4; n <= 12; ++n) graphs.push_back(cycle(n));
+  rng random = testing::seeded_rng();
+  for (int trial = 0; trial < 10; ++trial) {
+    graphs.push_back(random_tree(10, random));
+  }
+  for (const graph& g : graphs) {
+    deletion_paths seen;
+    expect_ball_deltas_match(g, seen);
+    EXPECT_EQ(seen.triangle, 0) << to_string(g);
+    EXPECT_EQ(seen.fallback + seen.bridge, g.size()) << to_string(g);
+    expect_record_equal(compute_stability_record(g),
+                        testing::two_pass_stability_record(g), g);
+  }
+}
+
+TEST(PairwiseStabilityTest, RecordRequiresConnectedGraph) {
+  // The connectivity check rides on the ball BFS; it must still reject
+  // every disconnected input.
+  EXPECT_THROW((void)compute_stability_record(graph(2)), precondition_error);
+  EXPECT_THROW((void)compute_stability_record(graph(4, {{0, 1}, {2, 3}})),
+               precondition_error);
+  EXPECT_THROW((void)bcg_profile(graph(5, {{0, 1}, {1, 2}, {3, 4}})),
+               precondition_error);
+  const graph split(4, {{0, 1}, {2, 3}});
+  const distance_balls balls(split);
+  EXPECT_THROW((void)ball_addition_decrease(split, balls, 0, 2),
+               precondition_error);
+  EXPECT_THROW((void)ball_deletion_increase(split, balls, 0, 1),
+               precondition_error);
+}
+
+TEST(PairwiseStabilityTest, SmallestOrdersPinTheirWindows) {
+  // n = 1: no pair constrains anything, so the window is (0, inf).
+  const stability_record single = compute_stability_record(graph(1));
+  EXPECT_EQ(single.alpha_min, 0.0);
+  EXPECT_TRUE(std::isinf(single.alpha_max));
+  EXPECT_TRUE(single.boundary_stable);
+  const alpha_interval single_window = to_alpha_interval(single);
+  EXPECT_EQ(single_window.lo, rational::from_int(0));
+  EXPECT_FALSE(single_window.lo_closed);
+  EXPECT_EQ(single_window.hi, rational::infinity());
+  EXPECT_FALSE(single_window.hi_closed);
+  EXPECT_EQ(bcg_profile(graph(1)).distance_total, 0);
+
+  // n = 2: the one edge is a bridge, so alpha_max = inf.
+  const bcg_summary pair = bcg_profile(path(2));
+  EXPECT_EQ(pair.record.alpha_min, 0.0);
+  EXPECT_TRUE(std::isinf(pair.record.alpha_max));
+  EXPECT_EQ(pair.distance_total, 2);
+  EXPECT_EQ(pair.fallback_bfs, 1);
 }
 
 TEST(PairwiseStabilityTest, OctahedronBoundaryCase) {

@@ -6,9 +6,12 @@
 #include <array>
 #include <vector>
 
+#include "gen/enumerate.hpp"
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "testing.hpp"
+#include "util/bitops.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace bnf {
@@ -157,6 +160,76 @@ TEST(PathsTest, ReachableSet) {
   const graph g(5, {{0, 1}, {1, 2}});
   EXPECT_EQ(reachable_set(g, 0), 0b00111ULL);
   EXPECT_EQ(reachable_set(g, 3), 0b01000ULL);
+}
+
+// Ball r of v must be exactly the vertices at most r hops away, rows
+// past ecc(v) must stay at v's component, and the sums and connectivity
+// must agree with the distance matrix.
+void expect_balls_match_matrix(const graph& g) {
+  const distance_balls balls(g);
+  const distance_matrix matrix(g);
+  ASSERT_EQ(balls.order(), g.order());
+  ASSERT_EQ(balls.connected(), matrix.connected()) << to_string(g);
+  ASSERT_EQ(balls.total(), matrix.total()) << to_string(g);
+  int depth = 0;
+  for (int v = 0; v < g.order(); ++v) {
+    int ecc = 0;
+    for (int j = 0; j < g.order(); ++j) {
+      if (matrix.at(v, j) != unreachable_distance) {
+        ecc = std::max(ecc, matrix.at(v, j));
+      }
+    }
+    depth = std::max(depth, ecc);
+    ASSERT_EQ(balls.sum(v), distance_sum(g, v).sum) << to_string(g);
+  }
+  ASSERT_EQ(balls.depth(), depth) << to_string(g);
+  for (int v = 0; v < g.order(); ++v) {
+    const auto row = balls.balls(v);
+    ASSERT_EQ(row.size(), static_cast<std::size_t>(depth) + 1);
+    for (int r = 0; r <= depth; ++r) {
+      std::uint64_t within = 0;
+      for (int j = 0; j < g.order(); ++j) {
+        if (matrix.at(v, j) <= r) within |= bit(j);
+      }
+      ASSERT_EQ(row[static_cast<std::size_t>(r)], within)
+          << to_string(g) << " v=" << v << " r=" << r;
+    }
+  }
+}
+
+TEST(PathsTest, BallsMatchDistanceMatrixOnAllSmallGraphs) {
+  // Every graph on 1..7 vertices, disconnected ones included.
+  int graphs = 0;
+  for (int n = 1; n <= 7; ++n) {
+    for_each_graph(
+        n,
+        [&](const graph& g) {
+          expect_balls_match_matrix(g);
+          ++graphs;
+        },
+        {.connected_only = false});
+  }
+  EXPECT_EQ(graphs, 1 + 2 + 4 + 11 + 34 + 156 + 1044);
+}
+
+TEST(PathsTest, BallsMatchDistanceMatrixOnHoffmanSingleton) {
+  expect_balls_match_matrix(hoffman_singleton());
+  EXPECT_EQ(distance_balls(hoffman_singleton()).depth(), 2);
+}
+
+TEST(PathsTest, BallsSpanTheFullWordOnA64VertexPath) {
+  // The max_vertices edge case: radius 63 from an end, and the last ball
+  // is every bit of the word.
+  const graph g = path(max_vertices);
+  expect_balls_match_matrix(g);
+  const distance_balls balls(g);
+  EXPECT_EQ(balls.depth(), 63);
+  EXPECT_EQ(balls.balls(0)[63], low_bits(64));
+  EXPECT_EQ(balls.balls(0)[62], low_bits(63));
+  EXPECT_EQ(balls.balls(63)[63], low_bits(64));
+  EXPECT_EQ(balls.total(), total_distance(g).sum);
+  EXPECT_THROW((void)balls.balls(64), precondition_error);
+  EXPECT_THROW((void)balls.sum(-1), precondition_error);
 }
 
 }  // namespace

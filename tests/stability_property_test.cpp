@@ -163,5 +163,50 @@ TEST(StabilityPropertyTest, GirthBoundsCycleWindow) {
   }
 }
 
+// The one-pass ball record and distance total against the two-pass BFS
+// reference and total_distance.
+void expect_profile_matches_reference(const graph& g) {
+  const bcg_summary summary = bcg_profile(g);
+  const stability_record expected = testing::two_pass_stability_record(g);
+  ASSERT_EQ(summary.record.alpha_min, expected.alpha_min) << to_string(g);
+  ASSERT_EQ(summary.record.alpha_max, expected.alpha_max) << to_string(g);
+  ASSERT_EQ(summary.record.boundary_stable, expected.boundary_stable)
+      << to_string(g);
+  ASSERT_EQ(summary.distance_total, total_distance(g).sum) << to_string(g);
+}
+
+TEST(StabilityPropertyTest, BallProfileMatchesReferenceOnAllOrder8Graphs) {
+  int graphs = 0;
+  for_each_graph(
+      8,
+      [&](const graph& g) {
+        expect_profile_matches_reference(g);
+        ++graphs;
+      },
+      {.connected_only = true});
+  EXPECT_EQ(graphs, 11117);
+}
+
+TEST(StabilityPropertyTest, BallProfileMatchesReferenceOnSampledShards) {
+  // Seeded shards of the census's fixed 128-way plan: two whole shards at
+  // n = 9 and one in sixteen classes of one shard at n = 10.
+  rng random = testing::seeded_rng();
+  int checked = 0;
+  const enumeration_plan plan9(9, 128);
+  for (int pick = 0; pick < 2; ++pick) {
+    plan9.for_each_key(random.below(128), [&](std::uint64_t key) {
+      expect_profile_matches_reference(graph::from_key64(9, key));
+      ++checked;
+    });
+  }
+  const enumeration_plan plan10(10, 128);
+  plan10.for_each_key(random.below(128), [&](std::uint64_t key) {
+    if (random.below(16) != 0) return;
+    expect_profile_matches_reference(graph::from_key64(10, key));
+    ++checked;
+  });
+  EXPECT_GT(checked, 4000);
+}
+
 }  // namespace
 }  // namespace bnf

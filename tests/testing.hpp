@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "equilibria/pairwise_stability.hpp"
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "graph/graph.hpp"
@@ -87,6 +89,36 @@ inline graph random_connected(rng& random, int lo_n = 4, int hi_n = 10) {
       n - 1 + static_cast<int>(
                   random.below(static_cast<std::uint64_t>(2 * n))));
   return random_connected_gnm(n, m, random);
+}
+
+/// The BCG stability record rebuilt the long way from the public per-link
+/// BFS deltas: alpha_min first, then the boundary verdict against the
+/// final alpha_min, then alpha_max. The independent reference for
+/// compute_stability_record, which builds the record in one pass from
+/// distance balls. Requires connected g.
+inline stability_record two_pass_stability_record(const graph& g) {
+  long long alpha_min = 0;
+  for (const auto& [u, v] : g.non_edges()) {
+    alpha_min = std::max(alpha_min, std::min(edge_addition_decrease(g, u, v),
+                                             edge_addition_decrease(g, v, u)));
+  }
+  bool boundary_stable = true;
+  for (const auto& [u, v] : g.non_edges()) {
+    const long long dec_u = edge_addition_decrease(g, u, v);
+    const long long dec_v = edge_addition_decrease(g, v, u);
+    if (std::min(dec_u, dec_v) == alpha_min && dec_u != dec_v) {
+      boundary_stable = false;
+    }
+  }
+  double alpha_max = std::numeric_limits<double>::infinity();
+  for (const auto& [u, v] : g.edges()) {
+    const long long binding = std::min(edge_deletion_increase(g, u, v),
+                                       edge_deletion_increase(g, v, u));
+    if (binding < infinite_delta) {
+      alpha_max = std::min(alpha_max, static_cast<double>(binding));
+    }
+  }
+  return {static_cast<double>(alpha_min), alpha_max, boundary_stable};
 }
 
 }  // namespace bnf::testing
