@@ -24,13 +24,13 @@ std::string srg_string(const bnf::graph& g) {
   return out.str();
 }
 
-std::string window_string(const bnf::stability_record& record) {
+std::string window_string(const bnf::alpha_interval& window) {
   std::ostringstream out;
-  if (record.alpha_min < record.alpha_max) {
-    out << "(" << bnf::fmt_alpha(record.alpha_min) << ", "
-        << bnf::fmt_alpha(record.alpha_max) << "]";
-  } else if (record.stable_at(record.alpha_min)) {
-    out << "{" << bnf::fmt_alpha(record.alpha_min) << "}";  // boundary point
+  const std::string lo = bnf::fmt_alpha(window.lo.to_double());
+  if (window.lo < window.hi) {
+    out << "(" << lo << ", " << bnf::fmt_alpha(window.hi.to_double()) << "]";
+  } else if (!window.empty()) {
+    out << "{" << lo << "}";  // boundary point
   } else {
     out << "empty";
   }
@@ -55,17 +55,17 @@ int main(int argc, char** argv) {
 
   for (const auto& entry : bnf::paper_gallery()) {
     const bnf::graph& g = entry.g;
-    const auto record = bnf::compute_stability_record(g);
+    const bnf::alpha_interval window = bnf::compute_stability_record(g);
     const auto convexity = bnf::analyze_link_convexity(g);
 
     // Probe the window midpoint (or the boundary point for tie windows).
+    const double lo = window.lo.to_double();
+    const double hi = window.hi.to_double();
     double probe = 0.0;
-    if (record.alpha_min < record.alpha_max) {
-      probe = std::isinf(record.alpha_max)
-                  ? record.alpha_min + 1.0
-                  : (record.alpha_min + record.alpha_max) / 2.0;
-    } else if (record.stable_at(record.alpha_min)) {
-      probe = record.alpha_min;  // boundary-only window
+    if (window.lo < window.hi) {
+      probe = std::isinf(hi) ? lo + 1.0 : (lo + hi) / 2.0;
+    } else if (!window.empty()) {
+      probe = lo;  // boundary-only window
     }
 
     std::string poa = "-";
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                    std::to_string(bnf::girth(g)),
                    std::to_string(bnf::diameter(g)), srg_string(g),
                    bnf::is_moore_graph(g) ? "yes" : "no",
-                   convexity.convex ? "yes" : "no", window_string(record),
+                   convexity.convex ? "yes" : "no", window_string(window),
                    alpha_star, poa, entry.note});
   }
 

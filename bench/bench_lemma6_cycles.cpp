@@ -55,18 +55,19 @@ int main(int argc, char** argv) {
   for (int n = static_cast<int>(args.get_int("n-min"));
        n <= static_cast<int>(args.get_int("n-max")); ++n) {
     const bnf::graph g = bnf::cycle(n);
-    const auto interval = bnf::compute_stability_interval(g);
+    const bnf::alpha_interval window = bnf::compute_stability_record(g);
+    const double lo = window.lo.to_double();
+    const double hi = window.hi.to_double();
     const paper_window paper = lemma6_formula(n);
-    const bool match = interval.alpha_min == paper.lo &&
-                       interval.alpha_max == paper.hi;
+    const bool match = lo == paper.lo && hi == paper.hi;
 
-    const double alpha = (interval.alpha_min + interval.alpha_max) / 2.0;
+    const double alpha = (lo + hi) / 2.0;
     const bnf::connection_game game{n, alpha, bnf::link_rule::bilateral};
     const double poa = bnf::price_of_anarchy(g, game);
 
     table.add_row(
         {std::to_string(n),
-         window_text(interval.alpha_min, interval.alpha_max, ']'),
+         window_text(lo, hi, ']'),
          window_text(paper.lo, paper.hi, ')'),
          match ? "yes" : "NO (see EXPERIMENTS.md)",
          bnf::is_link_convex(g) ? "yes" : "no", bnf::fmt_double(alpha, 2),

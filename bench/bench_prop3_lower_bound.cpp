@@ -42,10 +42,8 @@ int main(int argc, char** argv) {
                          "PoA/log2(alpha*)"});
 
   for (const auto& [name, g] : family) {
-    const auto record = bnf::compute_stability_record(g);
-    const bool stable_somewhere =
-        record.alpha_min < record.alpha_max ||
-        record.stable_at(record.alpha_min);
+    const bnf::alpha_interval window = bnf::compute_stability_record(g);
+    const bool stable_somewhere = !window.empty();
     const int diam = bnf::diameter(g);
     const auto k = bnf::regular_degree(g);
     const double moore_ratio =
@@ -60,9 +58,8 @@ int main(int argc, char** argv) {
     if (stable_somewhere) {
       // Probe at the expensive end of the window, where the lower-bound
       // construction binds (alpha = Theta(2^D)).
-      const double alpha = record.alpha_min < record.alpha_max
-                               ? record.alpha_max
-                               : record.alpha_min;
+      const double alpha = window.lo < window.hi ? window.hi.to_double()
+                                                 : window.lo.to_double();
       const bnf::connection_game game{g.order(), alpha,
                                       bnf::link_rule::bilateral};
       const double poa = bnf::price_of_anarchy(g, game);
@@ -77,9 +74,9 @@ int main(int argc, char** argv) {
     std::string window_text = "empty";
     if (stable_somewhere) {
       window_text = "(";
-      window_text += bnf::fmt_alpha(record.alpha_min);
+      window_text += bnf::fmt_alpha(window.lo.to_double());
       window_text += ", ";
-      window_text += bnf::fmt_alpha(record.alpha_max);
+      window_text += bnf::fmt_alpha(window.hi.to_double());
       window_text += "]";
     }
     table.add_row({name, std::to_string(g.order()),

@@ -68,10 +68,10 @@ int main(int argc, char** argv) {
             << fmt_double(price_of_anarchy(fabric, game), 3) << ")\n";
 
   // What the window of viable link costs looks like for this topology.
-  const auto window = compute_stability_interval(fabric);
+  const alpha_interval window = compute_stability_record(fabric);
   std::cout << "this fabric stays stable for alpha in ("
-            << fmt_alpha(window.alpha_min) << ", "
-            << fmt_alpha(window.alpha_max) << "]\n";
+            << fmt_alpha(window.lo.to_double()) << ", "
+            << fmt_alpha(window.hi.to_double()) << "]\n";
 
   // Who bears the burden of stability? (the regulator's star would load
   // everything onto the hub).

@@ -38,23 +38,24 @@ void print_card(const bnf::named_graph& entry) {
             << " -> " << (convexity.convex ? "link convex" : "NOT link convex")
             << "\n";
 
-  const auto record = compute_stability_record(g);
-  if (record.alpha_min < record.alpha_max) {
+  const alpha_interval window = compute_stability_record(g);
+  if (window.lo < window.hi) {
     std::cout << "   pairwise stable for alpha in ("
-              << fmt_alpha(record.alpha_min) << ", "
-              << fmt_alpha(record.alpha_max) << "]\n";
-  } else if (record.stable_at(record.alpha_min)) {
+              << fmt_alpha(window.lo.to_double()) << ", "
+              << fmt_alpha(window.hi.to_double()) << "]\n";
+  } else if (!window.empty()) {
     std::cout << "   pairwise stable exactly at alpha = "
-              << fmt_alpha(record.alpha_min) << " (boundary tie)\n";
+              << fmt_alpha(window.lo.to_double()) << " (boundary tie)\n";
   } else {
     std::cout << "   NOT pairwise stable for any link cost (max addition "
                  "saving exceeds min deletion increase)\n";
   }
 
-  const auto proper = proper_equilibrium_window(g);
-  if (proper.nonempty()) {
+  const alpha_interval proper = proper_equilibrium_window(g);
+  if (proper.lo < proper.hi) {
     std::cout << "   certified proper equilibrium (Prop 2) for alpha in ("
-              << fmt_alpha(proper.lo) << ", " << fmt_alpha(proper.hi) << "]\n";
+              << fmt_alpha(proper.lo.to_double()) << ", "
+              << fmt_alpha(proper.hi.to_double()) << "]\n";
   } else {
     std::cout << "   no proper-equilibrium certificate via link convexity\n";
   }

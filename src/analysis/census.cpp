@@ -115,7 +115,6 @@ std::vector<census_graph_record> build_census_records(
                               keys[i],
                               profile.edges,
                               profile.distance_total,
-                              profile.bcg,
                               profile.bcg_interval,
                               std::move(profile.ucg)};
                         }

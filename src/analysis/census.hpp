@@ -28,7 +28,6 @@
 
 #include "analysis/accumulator.hpp"
 #include "equilibria/alpha_interval.hpp"
-#include "equilibria/pairwise_stability.hpp"
 #include "graph/graph.hpp"
 
 namespace bnf {
@@ -66,8 +65,7 @@ struct census_graph_record {
   std::uint64_t key{0};  // canonical key (order implied by the census)
   int edges{0};
   long long distance_total{0};  // sum over ordered pairs
-  stability_record bcg;         // exact pairwise-stability predicate
-  /// Exact interval form of `bcg` (alpha_BCG units; identical decisions).
+  /// Exact pairwise-stability window (alpha_BCG units).
   alpha_interval bcg_interval;
   /// Exact UCG Nash region (alpha_UCG units) from the parametric
   /// orientation search. Empty when include_ucg was false.

@@ -22,9 +22,8 @@ topology_profile profile_topology(const graph& g, bool include_ucg,
   profile.edges = g.size();
   const bcg_summary bcg = bcg_profile(g);
   profile.distance_total = bcg.distance_total;
-  profile.bcg = bcg.record;
+  profile.bcg_interval = bcg.window;
   profile.bcg_fallback_bfs = bcg.fallback_bfs;
-  profile.bcg_interval = to_alpha_interval(profile.bcg);
   if (include_ucg) {
     profile.ucg = ucg_nash_alpha_region(g, ucg_clamp, scratch).region;
   }

@@ -26,14 +26,14 @@ namespace bnf {
 struct topology_profile {
   int edges{0};
   long long distance_total{0};  // sum over ordered pairs
-  stability_record bcg;         // exact pairwise-stability predicate
-  /// Exact interval form of `bcg` (alpha_BCG units; identical decisions).
+  /// Exact pairwise-stability window (alpha_BCG units), as
+  /// compute_stability_record returns it.
   alpha_interval bcg_interval;
   /// Exact UCG Nash region (alpha_UCG units). Empty when include_ucg was
   /// false.
   alpha_interval_set ucg;
   /// Work tally, not part of the profile's identity: the BFS the BCG
-  /// record spent on edges in no triangle (bcg_summary::fallback_bfs).
+  /// window spent on edges in no triangle (bcg_summary::fallback_bfs).
   int bcg_fallback_bfs{0};
 };
 

@@ -291,12 +291,12 @@ class quickstart_scenario final : public scenario {
     for (const auto& [name, g] : {std::pair<const char*, graph>{"star", hub},
                                   {"cycle", ring},
                                   {"complete", clique}}) {
-      const stability_interval window = compute_stability_interval(g);
-      ctx.out << name << ": stable for alpha in ("
-              << fmt_alpha(window.alpha_min) << ", "
-              << fmt_alpha(window.alpha_max) << "]\n";
-      windows.add_row({name, fmt_alpha(window.alpha_min),
-                       fmt_alpha(window.alpha_max)});
+      const alpha_interval window = compute_stability_record(g);
+      const std::string lo = fmt_alpha(window.lo.to_double());
+      const std::string hi = fmt_alpha(window.hi.to_double());
+      ctx.out << name << ": stable for alpha in (" << lo << ", " << hi
+              << "]\n";
+      windows.add_row({name, lo, hi});
     }
     ctx.emit("stability_windows", windows);
 

@@ -22,7 +22,7 @@
 //     blocks because one endpoint strictly gains while the other is
 //     merely indifferent (consent is free at equality). When EVERY
 //     attaining link ties on both sides, nobody strictly gains and the
-//     boundary is closed (stability_record::boundary_stable).
+//     boundary is closed: compute_stability_record returns lo_closed.
 //   * The domain is alpha > 0 throughout; intervals are normalized so a
 //     zero lower endpoint is always open.
 #pragma once

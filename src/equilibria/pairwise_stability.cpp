@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <limits>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -13,6 +11,19 @@
 #include "util/contracts.hpp"
 
 namespace bnf {
+
+alpha_interval hop_count_window(long long lo, bool lo_closed, long long hi,
+                                long long den) {
+  alpha_interval window;
+  window.lo = rational::make(lo, den);
+  window.lo_closed = lo_closed && lo > 0;
+  if (hi < infinite_delta) {
+    window.hi = rational::make(hi, den);
+  } else {
+    window.hi_closed = false;
+  }
+  return window;
+}
 
 long long edge_deletion_increase(const graph& g, int u, int v) {
   expects(g.has_edge(u, v), "edge_deletion_increase: (u,v) must be an edge");
@@ -171,34 +182,12 @@ bcg_summary bcg_profile(const graph& g) {
       }
     });
   }
-  summary.record = {
-      static_cast<double>(alpha_min),
-      alpha_max < infinite_delta ? static_cast<double>(alpha_max)
-                                 : std::numeric_limits<double>::infinity(),
-      boundary_stable};
+  summary.window = hop_count_window(alpha_min, boundary_stable, alpha_max, 1);
   return summary;
 }
 
-stability_record compute_stability_record(const graph& g) {
-  return bcg_profile(g).record;
-}
-
-stability_interval compute_stability_interval(const graph& g) {
-  return compute_stability_record(g).interval();
-}
-
-alpha_interval to_alpha_interval(const stability_record& record) {
-  alpha_interval window;
-  window.lo = rational::from_int(static_cast<long long>(record.alpha_min));
-  window.lo_closed = record.boundary_stable && record.alpha_min > 0;
-  if (std::isinf(record.alpha_max)) {
-    window.hi = rational::infinity();
-    window.hi_closed = false;
-  } else {
-    window.hi = rational::from_int(static_cast<long long>(record.alpha_max));
-    window.hi_closed = true;
-  }
-  return window;
+alpha_interval compute_stability_record(const graph& g) {
+  return bcg_profile(g).window;
 }
 
 bool is_pairwise_stable(const graph& g, double alpha) {

@@ -10,7 +10,7 @@
 //
 // All deltas are exact integers (hop counts); infinities are explicit.
 //
-// The record comes from one BFS per vertex. Each BFS keeps its cumulative
+// The window comes from one BFS per vertex. Each BFS keeps its cumulative
 // balls B(v,r) = {j : d(v,j) <= r} (graph/paths.hpp, distance_balls), and
 // two identities read the single-link deltas off the balls in integer
 // popcounts:
@@ -56,6 +56,13 @@ namespace bnf {
 /// across components). Large enough to dominate, small enough to add.
 inline constexpr long long infinite_delta = 1LL << 40;
 
+/// The window lo/den .. hi/den over hop-count deltas, as every window in
+/// equilibria/ is stored: lo is closed iff `lo_closed` and lo > 0 (the
+/// domain is alpha > 0); hi is closed, or +infinity and open when hi is
+/// infinite_delta (no deletion binds).
+[[nodiscard]] alpha_interval hop_count_window(long long lo, bool lo_closed,
+                                              long long hi, long long den);
+
 /// Distance-cost increase to endpoint u from severing edge (u,v):
 ///   sum_j d(u,j)(G - uv) - sum_j d(u,j)(G).
 /// Returns infinite_delta if the removal disconnects u from v's side.
@@ -68,47 +75,21 @@ inline constexpr long long infinite_delta = 1LL << 40;
 /// Requires (u,v) not in E.
 [[nodiscard]] long long edge_addition_decrease(const graph& g, int u, int v);
 
-/// The Lemma 2 stability window. Stable iff alpha_min < alpha <= alpha_max.
-struct stability_interval {
-  double alpha_min{0.0};
-  double alpha_max{0.0};  // +infinity when no deletion binds (e.g. trees)
+/// The Lemma 2 stability window of a connected graph as an exact
+/// interval: (alpha_min, alpha_max], with integer hop-count endpoints and
+/// hi = +infinity (open) when no deletion binds (e.g. trees). Definition 3
+/// deviates from the open Lemma 2 interval in one measure-zero case: at
+/// alpha == alpha_min > 0, if EVERY missing link whose least-interested
+/// saving attains alpha_min has BOTH endpoints saving exactly alpha_min,
+/// then nobody strictly gains and the graph is stable, so lo is closed.
+/// The window may be empty (lo > hi, or the open point (k, k]) and may be
+/// the single point [k, k]. Requires connected g (disconnected graphs are
+/// never pairwise stable against bridging adds; see is_pairwise_stable).
+[[nodiscard]] alpha_interval compute_stability_record(const graph& g);
 
-  [[nodiscard]] bool nonempty() const { return alpha_min < alpha_max; }
-  [[nodiscard]] bool contains(double alpha) const {
-    return alpha > 0 && alpha > alpha_min && alpha <= alpha_max;
-  }
-};
-
-/// Compute the stability window of a connected graph. Requires connected g
-/// (disconnected graphs are never pairwise stable against bridging adds;
-/// see is_pairwise_stable).
-[[nodiscard]] stability_interval compute_stability_interval(const graph& g);
-
-/// Exact per-alpha stability predicate derived from one pass over the
-/// graph. Definition 3 deviates from the open Lemma-2 interval in one
-/// measure-zero case: at alpha == alpha_min, if EVERY missing link whose
-/// least-interested saving attains alpha_min has BOTH endpoints saving
-/// exactly alpha_min, then nobody strictly gains and the graph is stable.
-struct stability_record {
-  double alpha_min{0.0};
-  double alpha_max{0.0};
-  bool boundary_stable{true};  // stable at alpha == alpha_min?
-
-  [[nodiscard]] bool stable_at(double alpha) const {
-    if (!(alpha > 0) || alpha > alpha_max) return false;
-    return alpha > alpha_min || (boundary_stable && alpha == alpha_min);
-  }
-  [[nodiscard]] stability_interval interval() const {
-    return {alpha_min, alpha_max};
-  }
-};
-
-/// One-pass exact stability record (requires connected g).
-[[nodiscard]] stability_record compute_stability_record(const graph& g);
-
-/// What the stability record's pass over a graph yields.
+/// What the stability window's pass over a graph yields.
 struct bcg_summary {
-  stability_record record;
+  alpha_interval window;
   /// Sum of d(i,j) over ordered pairs; equals total_distance(g).sum.
   long long distance_total{0};
   /// Row-replacement BFS spent on edges in no triangle (work tally).
@@ -134,14 +115,13 @@ struct bcg_summary {
                                                const distance_balls& balls,
                                                int a, int b);
 
-/// The record as an exact alpha interval: (alpha_min, alpha_max], closed
-/// at alpha_min iff boundary_stable. The record's endpoints are integer
-/// hop-count deltas stored in doubles (or +infinity), so the conversion
-/// is lossless; membership tests on the interval reproduce stable_at
-/// exactly while composing with the interval algebra used by the census
-/// and the breakpoint enumerator. The boundary convention is documented
-/// in equilibria/alpha_interval.hpp.
-[[nodiscard]] alpha_interval to_alpha_interval(const stability_record& record);
+/// Identity, kept only because perfbench/measure.cpp still calls
+/// to_alpha_interval(compute_stability_record(g)) and perfbench/ stays
+/// frozen until ROADMAP item 4's benchmark change, which deletes this.
+[[nodiscard]] inline alpha_interval to_alpha_interval(
+    const alpha_interval& window) {
+  return window;
+}
 
 /// Direct Definition 3 check. Disconnected graphs return false: with two
 /// components some bridging pair strictly gains by linking; with three or

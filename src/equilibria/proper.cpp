@@ -1,7 +1,5 @@
 #include "equilibria/proper.hpp"
 
-#include <limits>
-
 #include "equilibria/link_convexity.hpp"
 #include "equilibria/pairwise_nash.hpp"
 #include "equilibria/pairwise_stability.hpp"
@@ -30,15 +28,11 @@ bool is_proper_equilibrium_certified(const graph& g, double alpha) {
          all_missing_links_strictly_unprofitable(g, alpha);
 }
 
-proper_window proper_equilibrium_window(const graph& g) {
+alpha_interval proper_equilibrium_window(const graph& g) {
   expects(is_connected(g), "proper_equilibrium_window: requires connected");
   const link_convexity_result convexity = analyze_link_convexity(g);
-  proper_window window;
-  window.lo = static_cast<double>(convexity.max_addition_saving);
-  window.hi = convexity.min_deletion_increase >= infinite_delta
-                  ? std::numeric_limits<double>::infinity()
-                  : static_cast<double>(convexity.min_deletion_increase);
-  return window;
+  return hop_count_window(convexity.max_addition_saving, false,
+                          convexity.min_deletion_increase, 1);
 }
 
 }  // namespace bnf

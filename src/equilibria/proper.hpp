@@ -13,6 +13,7 @@
 // achievable as a proper equilibrium.
 #pragma once
 
+#include "equilibria/alpha_interval.hpp"
 #include "graph/graph.hpp"
 
 namespace bnf {
@@ -27,16 +28,10 @@ namespace bnf {
 [[nodiscard]] bool is_proper_equilibrium_certified(const graph& g,
                                                    double alpha);
 
-/// Proposition 2 window: the (lo, hi] range of link costs for which the
-/// graph is certified proper; empty (lo >= hi) iff not link convex.
-struct proper_window {
-  double lo{0.0};
-  double hi{0.0};
-  [[nodiscard]] bool nonempty() const { return lo < hi; }
-  [[nodiscard]] bool contains(double alpha) const {
-    return alpha > lo && alpha <= hi;
-  }
-};
-[[nodiscard]] proper_window proper_equilibrium_window(const graph& g);
+/// Proposition 2 window (max addition saving, min deletion increase]:
+/// the link costs for which the graph is certified proper. Integer
+/// endpoints; hi is +infinity (open) when every edge is a bridge. Has an
+/// interior (lo < hi) iff the graph is link convex. Requires connected g.
+[[nodiscard]] alpha_interval proper_equilibrium_window(const graph& g);
 
 }  // namespace bnf

@@ -1,34 +1,31 @@
 #include "equilibria/transfers.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "graph/paths.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
 
-stability_interval compute_transfer_stability_interval(const graph& g) {
+alpha_interval compute_transfer_stability_interval(const graph& g) {
   expects(is_connected(g),
           "compute_transfer_stability_interval: requires connected graph");
-  stability_interval interval{0.0, std::numeric_limits<double>::infinity()};
-
+  // Both bounds are joint surpluses over 2. A missing link with
+  // dec_u + dec_v == 2*alpha does not block (ties never block), so t_min
+  // is closed.
+  long long joint_saving = 0;
   for (const auto& [u, v] : g.non_edges()) {
-    const long long dec_u = edge_addition_decrease(g, u, v);
-    const long long dec_v = edge_addition_decrease(g, v, u);
-    // The pair adds the link iff joint surplus dec_u + dec_v > 2*alpha.
-    interval.alpha_min = std::max(
-        interval.alpha_min, static_cast<double>(dec_u + dec_v) / 2.0);
+    joint_saving = std::max(joint_saving, edge_addition_decrease(g, u, v) +
+                                              edge_addition_decrease(g, v, u));
   }
+  long long joint_loss = infinite_delta;
   for (const auto& [u, v] : g.edges()) {
     const long long inc_u = edge_deletion_increase(g, u, v);
     const long long inc_v = edge_deletion_increase(g, v, u);
     if (inc_u >= infinite_delta || inc_v >= infinite_delta) continue;
-    // The pair keeps the link iff joint loss inc_u + inc_v >= 2*alpha.
-    interval.alpha_max = std::min(interval.alpha_max,
-                                  static_cast<double>(inc_u + inc_v) / 2.0);
+    joint_loss = std::min(joint_loss, inc_u + inc_v);
   }
-  return interval;
+  return hop_count_window(joint_saving, true, joint_loss, 2);
 }
 
 bool is_transfer_stable(const graph& g, double alpha) {

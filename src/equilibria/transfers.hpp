@@ -23,10 +23,12 @@
 
 namespace bnf {
 
-/// Exact transfer-stability window: stable iff
-/// t_min < alpha <= t_max, where both bounds are *joint* (two-endpoint)
-/// surpluses divided by 2. Requires connected g.
-[[nodiscard]] stability_interval compute_transfer_stability_interval(
+/// Exact transfer-stability window [t_min, t_max]: t_min is the largest
+/// joint saving of a missing link over 2, t_max the smallest joint loss
+/// of a non-bridge edge over 2 (+infinity, open, when every edge is a
+/// bridge). Both bounds are closed because ties never block; t_min = 0 is
+/// open (the domain is alpha > 0). Requires connected g.
+[[nodiscard]] alpha_interval compute_transfer_stability_interval(
     const graph& g);
 
 /// Definition check at one link cost. Disconnected graphs are never

@@ -1,7 +1,7 @@
 // Unit coverage of the exact threshold arithmetic: rational
 // normalization and comparison (including the exact rational-vs-double
-// comparison grid sweeps rely on), interval algebra, interval-set
-// merging, and the stability_record bridge.
+// comparison grid sweeps rely on), interval algebra and interval-set
+// merging.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -261,21 +261,6 @@ TEST(AlphaIntervalSetTest, AddMergesAcrossInfiniteAndZeroEndpoints) {
   gapped.add({rational::from_int(1), rational::from_int(2), false, false});
   EXPECT_EQ(gapped.parts().size(), 2U);
   EXPECT_FALSE(gapped.contains(rational::from_int(1)));
-}
-
-TEST(AlphaIntervalTest, StabilityRecordBridgeMatchesStableAt) {
-  // Closed boundary (boundary_stable) vs open boundary records.
-  const stability_record closed{2.0, 6.0, true};
-  const stability_record open{2.0, 6.0, false};
-  const stability_record unbounded{
-      1.0, std::numeric_limits<double>::infinity(), false};
-  for (const auto& record : {closed, open, unbounded}) {
-    const alpha_interval window = to_alpha_interval(record);
-    for (const double alpha : {0.5, 1.0, 1.5, 2.0, 2.5, 6.0, 6.5, 100.0}) {
-      EXPECT_EQ(window.contains(alpha), record.stable_at(alpha))
-          << to_string(window) << " at " << alpha;
-    }
-  }
 }
 
 }  // namespace

@@ -104,7 +104,7 @@ TEST(CensusTest, RecordsMatchSweepCounts) {
   for (std::size_t t = 0; t < taus.size(); ++t) {
     long long from_records = 0;
     for (const auto& record : records) {
-      if (record.bcg.stable_at(taus[t] / 2.0)) ++from_records;
+      if (record.bcg_interval.contains(taus[t] / 2.0)) ++from_records;
     }
     EXPECT_EQ(points[t].bcg.count, from_records);
   }
@@ -115,10 +115,8 @@ TEST(CensusTest, RecordsCarryExactInvariants) {
   for (const auto& record : records) {
     const graph g = graph::from_key64(5, record.key);
     EXPECT_EQ(record.edges, g.size());
-    const auto direct = compute_stability_record(g);
-    EXPECT_DOUBLE_EQ(record.bcg.alpha_min, direct.alpha_min);
-    EXPECT_DOUBLE_EQ(record.bcg.alpha_max, direct.alpha_max);
-    EXPECT_EQ(record.bcg.boundary_stable, direct.boundary_stable);
+    EXPECT_EQ(record.bcg_interval, compute_stability_record(g))
+        << to_string(g);
   }
 }
 
@@ -126,10 +124,10 @@ TEST(CensusTest, RecordsCarryBothGamesExactIntervals) {
   const auto records = build_census_records(6);
   for (const auto& record : records) {
     const graph g = graph::from_key64(6, record.key);
-    // The BCG interval reproduces stable_at decisions at every probe.
+    // The BCG interval matches Definition 3 at every probe.
     for (const double alpha : {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 16.0}) {
       EXPECT_EQ(record.bcg_interval.contains(alpha),
-                record.bcg.stable_at(alpha))
+                is_pairwise_stable(g, alpha))
           << to_string(g) << " alpha=" << alpha;
     }
     // The UCG region matches the per-alpha search off the tie tolerance.

@@ -32,9 +32,9 @@ class GalleryWindowSuite : public ::testing::TestWithParam<window_case> {};
 
 TEST_P(GalleryWindowSuite, ExactWindow) {
   const auto& c = GetParam();
-  const auto record = compute_stability_record(c.g);
-  EXPECT_DOUBLE_EQ(record.alpha_min, c.alpha_min) << c.name;
-  EXPECT_DOUBLE_EQ(record.alpha_max, c.alpha_max) << c.name;
+  const alpha_interval window = compute_stability_record(c.g);
+  EXPECT_EQ(window.lo.to_double(), c.alpha_min) << c.name;
+  EXPECT_EQ(window.hi.to_double(), c.alpha_max) << c.name;
   EXPECT_EQ(is_link_convex(c.g), c.link_convex) << c.name;
 }
 
@@ -57,10 +57,9 @@ TEST_P(GalleryWindowSuite, ProperWindowMatchesConvexityDeltas) {
   const auto& c = GetParam();
   const auto convexity = analyze_link_convexity(c.g);
   const auto window = proper_equilibrium_window(c.g);
-  EXPECT_DOUBLE_EQ(window.lo,
-                   static_cast<double>(convexity.max_addition_saving))
+  EXPECT_EQ(window.lo, rational::from_int(convexity.max_addition_saving))
       << c.name;
-  EXPECT_EQ(window.nonempty(), c.link_convex) << c.name;
+  EXPECT_EQ(window.lo < window.hi, c.link_convex) << c.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -104,15 +103,15 @@ TEST(GalleryWindowsTest, TransferWindowsOnGallery) {
   // for every named graph; vertex-transitive graphs with symmetric-value
   // links keep the same alpha_max structure.
   for (const graph& g : {petersen(), heawood(), clebsch(), star(8)}) {
-    const auto plain = compute_stability_interval(g);
-    const auto joint = compute_transfer_stability_interval(g);
-    EXPECT_LE(plain.alpha_min, joint.alpha_min + 1e-12) << to_string(g);
+    const alpha_interval plain = compute_stability_record(g);
+    const alpha_interval joint = compute_transfer_stability_interval(g);
+    EXPECT_LE(plain.lo, joint.lo) << to_string(g);
   }
   // Petersen is edge- and vertex-transitive with equal endpoint values:
   // the transfer window matches the plain window exactly.
   const auto joint = compute_transfer_stability_interval(petersen());
-  EXPECT_DOUBLE_EQ(joint.alpha_min, 1.0);
-  EXPECT_DOUBLE_EQ(joint.alpha_max, 5.0);
+  EXPECT_EQ(joint.lo, rational::from_int(1));
+  EXPECT_EQ(joint.hi, rational::from_int(5));
 }
 
 }  // namespace

@@ -87,10 +87,9 @@ TEST(LinkConvexityTest, LinkConvexityImpliesNonemptyWindow) {
     const auto convexity = analyze_link_convexity(g);
     if (!convexity.convex) continue;
     ++convex_seen;
-    const auto interval = compute_stability_interval(g);
-    EXPECT_TRUE(interval.nonempty()) << to_string(g);
-    EXPECT_LE(interval.alpha_min,
-              static_cast<double>(convexity.max_addition_saving));
+    const alpha_interval window = compute_stability_record(g);
+    EXPECT_LT(window.lo, window.hi) << to_string(g);
+    EXPECT_LE(window.lo, rational::from_int(convexity.max_addition_saving));
   }
   EXPECT_GT(convex_seen, 10);  // the property test actually exercised cases
 }

@@ -78,13 +78,11 @@ TEST(PairwiseNashTest, Proposition1OnRandomLargerGraphs) {
 TEST(PairwiseNashTest, Proposition1OnPaperGallery) {
   for (const auto& entry : paper_gallery()) {
     if (entry.g.order() > 24) continue;  // keep the exhaustive check fast
-    const auto record = compute_stability_record(entry.g);
+    const alpha_interval window = compute_stability_record(entry.g);
+    const double lo = window.lo.to_double();
+    const double hi = window.hi.to_double();
     const double probe =
-        std::isinf(record.alpha_max)
-            ? record.alpha_min + 1.0
-            : (record.alpha_min + std::max(record.alpha_min,
-                                           record.alpha_max)) /
-                  2.0;
+        std::isinf(hi) ? lo + 1.0 : (lo + std::max(lo, hi)) / 2.0;
     if (probe <= 0) continue;
     ASSERT_EQ(is_pairwise_stable(entry.g, probe),
               is_pairwise_nash(entry.g, probe))

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "gen/enumerate.hpp"
@@ -52,9 +50,10 @@ TEST(PairwiseStabilityTest, DeltaPreconditions) {
 TEST(PairwiseStabilityTest, Lemma4CompleteGraphWindow) {
   // Lemma 4: for alpha < 1 the complete graph is pairwise stable (and it
   // remains so exactly up to alpha = 1).
-  const auto interval = compute_stability_interval(complete(6));
-  EXPECT_DOUBLE_EQ(interval.alpha_min, 0.0);
-  EXPECT_DOUBLE_EQ(interval.alpha_max, 1.0);
+  const alpha_interval window = compute_stability_record(complete(6));
+  EXPECT_EQ(window.lo, rational::from_int(0));
+  EXPECT_EQ(window.hi, rational::from_int(1));
+  EXPECT_TRUE(window.hi_closed);
   EXPECT_TRUE(is_pairwise_stable(complete(6), 0.5));
   EXPECT_TRUE(is_pairwise_stable(complete(6), 1.0));
   EXPECT_FALSE(is_pairwise_stable(complete(6), 1.01));
@@ -79,9 +78,9 @@ TEST(PairwiseStabilityTest, Lemma4UniquenessBelowOne) {
 
 TEST(PairwiseStabilityTest, Lemma5StarStableButNotUnique) {
   // Star: stable for every alpha > 1 (window (1, inf]).
-  const auto interval = compute_stability_interval(star(8));
-  EXPECT_DOUBLE_EQ(interval.alpha_min, 1.0);
-  EXPECT_TRUE(std::isinf(interval.alpha_max));
+  const alpha_interval window = compute_stability_record(star(8));
+  EXPECT_EQ(window.lo, rational::from_int(1));
+  EXPECT_EQ(window.hi, rational::infinity());
   EXPECT_TRUE(is_pairwise_stable(star(8), 1.5));
   EXPECT_TRUE(is_pairwise_stable(star(8), 1000.0));
   EXPECT_FALSE(is_pairwise_stable(star(8), 0.5));
@@ -96,34 +95,28 @@ TEST(PairwiseStabilityTest, TreesStableForLargeAlpha) {
   rng random = testing::seeded_rng();
   for (int trial = 0; trial < 20; ++trial) {
     const graph t = random_tree(8, random);
-    const auto interval = compute_stability_interval(t);
-    EXPECT_TRUE(std::isinf(interval.alpha_max)) << to_string(t);
-    EXPECT_TRUE(is_pairwise_stable(t, interval.alpha_min + 1.0));
+    const alpha_interval window = compute_stability_record(t);
+    EXPECT_EQ(window.hi, rational::infinity()) << to_string(t);
+    EXPECT_FALSE(window.hi_closed) << to_string(t);
+    EXPECT_TRUE(is_pairwise_stable(t, window.lo.to_double() + 1.0));
   }
 }
 
 TEST(PairwiseStabilityTest, IntervalMatchesDirectCheckExhaustively) {
-  // Property: the stability_record predicate agrees with the literal
+  // Property: membership in the stability window agrees with the literal
   // Definition 3 check on every connected graph on 6 vertices across a
   // grid that includes integer boundary cases.
   const double alphas[] = {0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 12.0};
   for_each_graph(
       6,
       [&](const graph& g) {
-        const stability_record record = compute_stability_record(g);
+        const alpha_interval window = compute_stability_record(g);
         for (const double alpha : alphas) {
-          ASSERT_EQ(record.stable_at(alpha), is_pairwise_stable(g, alpha))
+          ASSERT_EQ(window.contains(alpha), is_pairwise_stable(g, alpha))
               << to_string(g) << " alpha=" << alpha;
         }
       },
       {.connected_only = true});
-}
-
-void expect_record_equal(const stability_record& actual,
-                         const stability_record& expected, const graph& g) {
-  ASSERT_EQ(actual.alpha_min, expected.alpha_min) << to_string(g);
-  ASSERT_EQ(actual.alpha_max, expected.alpha_max) << to_string(g);
-  ASSERT_EQ(actual.boundary_stable, expected.boundary_stable) << to_string(g);
 }
 
 TEST(PairwiseStabilityTest, RecordMatchesTwoPassReferenceOnAllOrder7Graphs) {
@@ -133,8 +126,9 @@ TEST(PairwiseStabilityTest, RecordMatchesTwoPassReferenceOnAllOrder7Graphs) {
   for_each_graph(
       7,
       [&](const graph& g) {
-        expect_record_equal(compute_stability_record(g),
-                            testing::two_pass_stability_record(g), g);
+        ASSERT_EQ(compute_stability_record(g),
+                  testing::two_pass_stability_record(g))
+            << to_string(g);
         ++graphs;
       },
       {.connected_only = true});
@@ -213,8 +207,9 @@ TEST(PairwiseStabilityTest, TriangleFreeGraphsTakeTheFallbackEverywhere) {
     expect_ball_deltas_match(g, seen);
     EXPECT_EQ(seen.triangle, 0) << to_string(g);
     EXPECT_EQ(seen.fallback + seen.bridge, g.size()) << to_string(g);
-    expect_record_equal(compute_stability_record(g),
-                        testing::two_pass_stability_record(g), g);
+    EXPECT_EQ(compute_stability_record(g),
+              testing::two_pass_stability_record(g))
+        << to_string(g);
   }
 }
 
@@ -236,11 +231,7 @@ TEST(PairwiseStabilityTest, RecordRequiresConnectedGraph) {
 
 TEST(PairwiseStabilityTest, SmallestOrdersPinTheirWindows) {
   // n = 1: no pair constrains anything, so the window is (0, inf).
-  const stability_record single = compute_stability_record(graph(1));
-  EXPECT_EQ(single.alpha_min, 0.0);
-  EXPECT_TRUE(std::isinf(single.alpha_max));
-  EXPECT_TRUE(single.boundary_stable);
-  const alpha_interval single_window = to_alpha_interval(single);
+  const alpha_interval single_window = compute_stability_record(graph(1));
   EXPECT_EQ(single_window.lo, rational::from_int(0));
   EXPECT_FALSE(single_window.lo_closed);
   EXPECT_EQ(single_window.hi, rational::infinity());
@@ -249,8 +240,10 @@ TEST(PairwiseStabilityTest, SmallestOrdersPinTheirWindows) {
 
   // n = 2: the one edge is a bridge, so alpha_max = inf.
   const bcg_summary pair = bcg_profile(path(2));
-  EXPECT_EQ(pair.record.alpha_min, 0.0);
-  EXPECT_TRUE(std::isinf(pair.record.alpha_max));
+  EXPECT_EQ(pair.window.lo, rational::from_int(0));
+  EXPECT_FALSE(pair.window.lo_closed);
+  EXPECT_EQ(pair.window.hi, rational::infinity());
+  EXPECT_FALSE(pair.window.hi_closed);
   EXPECT_EQ(pair.distance_total, 2);
   EXPECT_EQ(pair.fallback_bfs, 1);
 }
@@ -261,10 +254,11 @@ TEST(PairwiseStabilityTest, OctahedronBoundaryCase) {
   // stable exactly at alpha = 1 — a tie case where the open Lemma-2
   // interval is empty but Definition 3 holds.
   const graph g = octahedron();
-  const auto record = compute_stability_record(g);
-  EXPECT_DOUBLE_EQ(record.alpha_min, 1.0);
-  EXPECT_DOUBLE_EQ(record.alpha_max, 1.0);
-  EXPECT_TRUE(record.boundary_stable);
+  const alpha_interval window = compute_stability_record(g);
+  EXPECT_EQ(window.lo, rational::from_int(1));
+  EXPECT_EQ(window.hi, rational::from_int(1));
+  EXPECT_TRUE(window.lo_closed);
+  EXPECT_TRUE(window.hi_closed);
   EXPECT_TRUE(is_pairwise_stable(g, 1.0));
   EXPECT_FALSE(is_pairwise_stable(g, 0.99));
   EXPECT_FALSE(is_pairwise_stable(g, 1.01));
@@ -298,26 +292,21 @@ TEST(PairwiseStabilityTest, PaperGalleryGraphsAreStableSomewhere) {
   // nonempty stability window; the octahedron is boundary-stable at 1.
   for (const auto& entry : paper_gallery()) {
     if (entry.name == "desargues" || entry.name == "dodecahedron") continue;
-    const auto record = compute_stability_record(entry.g);
-    const bool somewhere =
-        record.alpha_min < record.alpha_max ||
-        (record.boundary_stable && record.alpha_min == record.alpha_max &&
-         record.alpha_min > 0);
-    EXPECT_TRUE(somewhere) << entry.name;
+    EXPECT_FALSE(compute_stability_record(entry.g).empty()) << entry.name;
   }
 }
 
 TEST(PairwiseStabilityTest, PetersenWindow) {
-  const auto interval = compute_stability_interval(petersen());
-  EXPECT_DOUBLE_EQ(interval.alpha_min, 1.0);
-  EXPECT_DOUBLE_EQ(interval.alpha_max, 5.0);
+  const alpha_interval window = compute_stability_record(petersen());
+  EXPECT_EQ(window.lo, rational::from_int(1));
+  EXPECT_EQ(window.hi, rational::from_int(5));
   EXPECT_TRUE(is_pairwise_stable(petersen(), 3.0));
 }
 
 TEST(PairwiseStabilityTest, HoffmanSingletonWindow) {
-  const auto interval = compute_stability_interval(hoffman_singleton());
-  EXPECT_DOUBLE_EQ(interval.alpha_min, 1.0);
-  EXPECT_DOUBLE_EQ(interval.alpha_max, 9.0);
+  const alpha_interval window = compute_stability_record(hoffman_singleton());
+  EXPECT_EQ(window.lo, rational::from_int(1));
+  EXPECT_EQ(window.hi, rational::from_int(9));
 }
 
 class CycleWindowSuite : public ::testing::TestWithParam<int> {};
@@ -329,25 +318,26 @@ TEST_P(CycleWindowSuite, Lemma6MeasuredWindowsAreExact) {
   // (n+1)(n-1)/4 — see EXPERIMENTS.md.)
   const int n = GetParam();
   const graph g = cycle(n);
-  const auto interval = compute_stability_interval(g);
-  ASSERT_TRUE(interval.nonempty());
+  const alpha_interval window = compute_stability_record(g);
+  ASSERT_LT(window.lo, window.hi);
 
   if (n % 2 == 1) {
-    EXPECT_DOUBLE_EQ(interval.alpha_max, (n - 1) * (n - 1) / 4.0);
+    EXPECT_EQ(window.hi, rational::make((n - 1) * (n - 1), 4));
   } else {
-    EXPECT_DOUBLE_EQ(interval.alpha_max, n * (n - 2) / 4.0);
+    EXPECT_EQ(window.hi, rational::make(n * (n - 2), 4));
   }
   if (n % 4 == 2) {
-    EXPECT_DOUBLE_EQ(interval.alpha_min, (n * n - 4 * n + 4) / 8.0);
+    EXPECT_EQ(window.lo, rational::make(n * n - 4 * n + 4, 8));
   } else if (n % 4 == 0) {
-    EXPECT_DOUBLE_EQ(interval.alpha_min, (n * n - 4 * n + 8) / 8.0);
+    EXPECT_EQ(window.lo, rational::make(n * n - 4 * n + 8, 8));
   }
 
-  const double inside = (interval.alpha_min + interval.alpha_max) / 2.0;
-  EXPECT_TRUE(is_pairwise_stable(g, inside));
-  EXPECT_FALSE(is_pairwise_stable(g, interval.alpha_max + 0.5));
-  if (interval.alpha_min > 0.5) {
-    EXPECT_FALSE(is_pairwise_stable(g, interval.alpha_min - 0.5));
+  const double lo = window.lo.to_double();
+  const double hi = window.hi.to_double();
+  EXPECT_TRUE(is_pairwise_stable(g, (lo + hi) / 2.0));
+  EXPECT_FALSE(is_pairwise_stable(g, hi + 0.5));
+  if (lo > 0.5) {
+    EXPECT_FALSE(is_pairwise_stable(g, lo - 0.5));
   }
 }
 

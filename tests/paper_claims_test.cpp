@@ -24,10 +24,10 @@
 namespace bnf {
 namespace {
 
-double midpoint_alpha(const stability_interval& interval) {
-  return std::isinf(interval.alpha_max)
-             ? interval.alpha_min + 1.0
-             : (interval.alpha_min + interval.alpha_max) / 2.0;
+double midpoint_alpha(const alpha_interval& window) {
+  const double lo = window.lo.to_double();
+  return window.hi.is_infinite() ? lo + 1.0
+                                 : (lo + window.hi.to_double()) / 2.0;
 }
 
 TEST(PaperClaimsTest, Proposition5TreesNashInUcgAreBcgStable) {
@@ -143,9 +143,9 @@ TEST(PaperClaimsTest, Proposition3FamilyHasGrowingPoAWithLogAlpha) {
   int previous_diam = 0;
   for (const auto& [g, diam] : family) {
     ASSERT_EQ(diameter(g), diam);
-    const auto interval = compute_stability_interval(g);
-    ASSERT_TRUE(interval.nonempty()) << to_string(g);
-    const double alpha = midpoint_alpha(interval);
+    const alpha_interval window = compute_stability_record(g);
+    ASSERT_LT(window.lo, window.hi) << to_string(g);
+    const double alpha = midpoint_alpha(window);
     const connection_game game{g.order(), alpha, link_rule::bilateral};
     const double poa = price_of_anarchy(g, game);
     EXPECT_GE(poa, 1.0);
@@ -258,10 +258,9 @@ TEST(PaperClaimsTest, ProperEquilibriaExistForGalleryStableGraphs) {
   // is simultaneously pairwise stable and strictly addition-averse.
   for (const auto& entry : paper_gallery()) {
     if (!is_link_convex(entry.g)) continue;
-    const auto window = proper_equilibrium_window(entry.g);
-    ASSERT_TRUE(window.nonempty()) << entry.name;
-    const double alpha = std::isinf(window.hi) ? window.lo + 1.0
-                                               : (window.lo + window.hi) / 2.0;
+    const alpha_interval window = proper_equilibrium_window(entry.g);
+    ASSERT_LT(window.lo, window.hi) << entry.name;
+    const double alpha = midpoint_alpha(window);
     EXPECT_TRUE(is_proper_equilibrium_certified(entry.g, alpha)) << entry.name;
   }
 }

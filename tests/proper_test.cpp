@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 #include "equilibria/link_convexity.hpp"
 #include "equilibria/pairwise_stability.hpp"
@@ -30,25 +29,25 @@ TEST(ProperTest, StarCertifiedProperAboveOne) {
 TEST(ProperTest, ProperWindowMatchesLinkConvexity) {
   // Prop 2: nonempty window iff link convex.
   for (const auto& entry : paper_gallery()) {
-    const auto window = proper_equilibrium_window(entry.g);
-    EXPECT_EQ(window.nonempty(), is_link_convex(entry.g)) << entry.name;
+    const alpha_interval window = proper_equilibrium_window(entry.g);
+    EXPECT_EQ(window.lo < window.hi, is_link_convex(entry.g)) << entry.name;
   }
 }
 
 TEST(ProperTest, PetersenProperWindow) {
-  const auto window = proper_equilibrium_window(petersen());
-  ASSERT_TRUE(window.nonempty());
-  EXPECT_DOUBLE_EQ(window.lo, 1.0);
-  EXPECT_DOUBLE_EQ(window.hi, 5.0);
+  const alpha_interval window = proper_equilibrium_window(petersen());
+  EXPECT_EQ(window.lo, rational::from_int(1));
+  EXPECT_EQ(window.hi, rational::from_int(5));
   // Any alpha inside is certified.
   EXPECT_TRUE(is_proper_equilibrium_certified(petersen(), 3.0));
   EXPECT_FALSE(is_proper_equilibrium_certified(petersen(), 1.0));
 }
 
 TEST(ProperTest, TreeWindowsAreUnbounded) {
-  const auto window = proper_equilibrium_window(path(6));
-  ASSERT_TRUE(window.nonempty());
-  EXPECT_TRUE(std::isinf(window.hi));
+  const alpha_interval window = proper_equilibrium_window(path(6));
+  ASSERT_LT(window.lo, window.hi);
+  EXPECT_EQ(window.hi, rational::infinity());
+  EXPECT_FALSE(window.hi_closed);
 }
 
 TEST(ProperTest, CertifiedImpliesPairwiseStable) {
@@ -63,11 +62,12 @@ TEST(ProperTest, CertifiedImpliesPairwiseStable) {
         n - 1 + static_cast<int>(random.below(
                     static_cast<std::uint64_t>(n))),
         random);
-    const auto window = proper_equilibrium_window(g);
-    if (!window.nonempty()) continue;
-    const double alpha = std::isinf(window.hi) ? window.lo + 1.0
-                                               : (window.lo + window.hi) / 2.0;
-    if (alpha <= window.lo) continue;
+    const alpha_interval window = proper_equilibrium_window(g);
+    if (!(window.lo < window.hi)) continue;
+    const double lo = window.lo.to_double();
+    const double alpha =
+        window.hi.is_infinite() ? lo + 1.0 : (lo + window.hi.to_double()) / 2.0;
+    if (alpha <= lo) continue;
     if (is_proper_equilibrium_certified(g, alpha)) {
       ++certified;
       EXPECT_TRUE(is_pairwise_stable(g, alpha)) << to_string(g);
@@ -77,11 +77,13 @@ TEST(ProperTest, CertifiedImpliesPairwiseStable) {
 }
 
 TEST(ProperTest, DodecahedronNeverCertifiedViaWindow) {
-  EXPECT_FALSE(proper_equilibrium_window(dodecahedron()).nonempty());
+  const alpha_interval window = proper_equilibrium_window(dodecahedron());
+  EXPECT_FALSE(window.lo < window.hi);
 }
 
 TEST(ProperTest, WindowContains) {
-  const proper_window window{1.0, 5.0};
+  // Petersen's window is (1, 5]: open below, closed above.
+  const alpha_interval window = proper_equilibrium_window(petersen());
   EXPECT_FALSE(window.contains(1.0));
   EXPECT_TRUE(window.contains(1.5));
   EXPECT_TRUE(window.contains(5.0));

@@ -59,11 +59,8 @@ TEST(StabilityPropertyTest, WindowIsIsomorphismInvariant) {
     random.shuffle(std::span<int>(perm));
     const graph h = g.permuted(perm);
 
-    const auto record_g = compute_stability_record(g);
-    const auto record_h = compute_stability_record(h);
-    ASSERT_DOUBLE_EQ(record_g.alpha_min, record_h.alpha_min);
-    ASSERT_DOUBLE_EQ(record_g.alpha_max, record_h.alpha_max);
-    ASSERT_EQ(record_g.boundary_stable, record_h.boundary_stable);
+    ASSERT_EQ(compute_stability_record(g), compute_stability_record(h))
+        << to_string(g);
   }
 }
 
@@ -133,14 +130,12 @@ TEST(StabilityPropertyTest, StableSetShrinksToTreesForHugeAlpha) {
 
 TEST(StabilityPropertyTest, EveryConnectedGraphStableSomewhereOrNowhere) {
   // Dichotomy check over all connected 6-vertex graphs: the stability
-  // record either admits some alpha (window or boundary tie) and then a
+  // window either admits some alpha (interior or boundary tie) and then a
   // probe inside verifies, or no probe on a fine grid finds stability.
   for_each_graph(
       6,
       [&](const graph& g) {
-        const auto record = compute_stability_record(g);
-        const bool somewhere = record.alpha_min < record.alpha_max ||
-                               record.stable_at(record.alpha_min);
+        const bool somewhere = !compute_stability_record(g).empty();
         bool found = false;
         for (double alpha = 0.25; alpha <= 40.0 && !found; alpha += 0.25) {
           found = is_pairwise_stable(g, alpha);
@@ -156,21 +151,18 @@ TEST(StabilityPropertyTest, GirthBoundsCycleWindow) {
   // most ... (sanity link between girth and severance deltas on cycles).
   for (int n = 5; n <= 16; ++n) {
     const graph g = cycle(n);
-    const auto interval = compute_stability_interval(g);
+    const alpha_interval window = compute_stability_record(g);
     // Severing turns distance 1 into n-1 for the endpoint: increase
     // includes at least (n-2).
-    EXPECT_GE(interval.alpha_max, static_cast<double>(n - 2));
+    EXPECT_GE(window.hi, rational::from_int(n - 2));
   }
 }
 
-// The one-pass ball record and distance total against the two-pass BFS
+// The one-pass ball window and distance total against the two-pass BFS
 // reference and total_distance.
 void expect_profile_matches_reference(const graph& g) {
   const bcg_summary summary = bcg_profile(g);
-  const stability_record expected = testing::two_pass_stability_record(g);
-  ASSERT_EQ(summary.record.alpha_min, expected.alpha_min) << to_string(g);
-  ASSERT_EQ(summary.record.alpha_max, expected.alpha_max) << to_string(g);
-  ASSERT_EQ(summary.record.boundary_stable, expected.boundary_stable)
+  ASSERT_EQ(summary.window, testing::two_pass_stability_record(g))
       << to_string(g);
   ASSERT_EQ(summary.distance_total, total_distance(g).sum) << to_string(g);
 }
@@ -206,6 +198,63 @@ TEST(StabilityPropertyTest, BallProfileMatchesReferenceOnSampledShards) {
     ++checked;
   });
   EXPECT_GT(checked, 4000);
+}
+
+// Definition 3 at each positive finite endpoint of the window and one ulp
+// either side; membership must agree with the per-alpha oracle. An open
+// positive lo is open because some missing link blocks exactly there, so
+// the oracle's witness at lo is an addition (a severance when the window
+// is empty past alpha_max, which find_stability_violation reports first).
+void expect_endpoints_match_definition(const graph& g, int& open_lo) {
+  const alpha_interval window = compute_stability_record(g);
+  for (const rational& endpoint : {window.lo, window.hi}) {
+    if (endpoint.is_infinite() || endpoint.num <= 0) continue;
+    const double at = endpoint.to_double();
+    for (const double alpha :
+         {std::nextafter(at, 0.0), at, std::nextafter(at, at + 1.0)}) {
+      ASSERT_EQ(window.contains(alpha), is_pairwise_stable(g, alpha))
+          << to_string(g) << " window " << to_string(window) << " alpha="
+          << alpha;
+    }
+  }
+  if (!window.lo_closed && window.lo.num > 0) {
+    ++open_lo;
+    const auto witness = find_stability_violation(g, window.lo.to_double());
+    ASSERT_TRUE(witness.has_value()) << to_string(g);
+    EXPECT_EQ(witness->type, window.lo <= window.hi
+                                 ? stability_violation::kind::addition
+                                 : stability_violation::kind::severance)
+        << to_string(g) << " window " << to_string(window);
+  }
+}
+
+TEST(StabilityPropertyTest, WindowEndpointsMatchDefinitionOnSampledShards) {
+  // The exhaustive endpoint check stops at n = 6
+  // (threshold_semantics_test). Beyond it, seeded shards of the census's
+  // 128-way plan: every class of several shards at n = 7 and 8, one in
+  // four classes of one shard at n = 9, one in 128 of one shard at n = 10.
+  struct sample {
+    int n;
+    int shards;
+    std::uint64_t one_in;
+  };
+  rng random = testing::seeded_rng();
+  int checked = 0;
+  int open_lo = 0;
+  for (const sample& s : {sample{7, 16, 1}, sample{8, 4, 1}, sample{9, 1, 4},
+                          sample{10, 1, 128}}) {
+    const enumeration_plan plan(s.n, 128);
+    for (int pick = 0; pick < s.shards; ++pick) {
+      plan.for_each_key(random.below(128), [&](std::uint64_t key) {
+        if (random.below(s.one_in) != 0) return;
+        expect_endpoints_match_definition(graph::from_key64(s.n, key),
+                                          open_lo);
+        ++checked;
+      });
+    }
+  }
+  EXPECT_GT(checked, 1000);
+  EXPECT_GT(open_lo, 0);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -91,12 +90,12 @@ inline graph random_connected(rng& random, int lo_n = 4, int hi_n = 10) {
   return random_connected_gnm(n, m, random);
 }
 
-/// The BCG stability record rebuilt the long way from the public per-link
+/// The BCG stability window rebuilt the long way from the public per-link
 /// BFS deltas: alpha_min first, then the boundary verdict against the
 /// final alpha_min, then alpha_max. The independent reference for
-/// compute_stability_record, which builds the record in one pass from
+/// compute_stability_record, which builds the window in one pass from
 /// distance balls. Requires connected g.
-inline stability_record two_pass_stability_record(const graph& g) {
+inline alpha_interval two_pass_stability_record(const graph& g) {
   long long alpha_min = 0;
   for (const auto& [u, v] : g.non_edges()) {
     alpha_min = std::max(alpha_min, std::min(edge_addition_decrease(g, u, v),
@@ -110,15 +109,21 @@ inline stability_record two_pass_stability_record(const graph& g) {
       boundary_stable = false;
     }
   }
-  double alpha_max = std::numeric_limits<double>::infinity();
+  long long alpha_max = infinite_delta;
   for (const auto& [u, v] : g.edges()) {
     const long long binding = std::min(edge_deletion_increase(g, u, v),
                                        edge_deletion_increase(g, v, u));
-    if (binding < infinite_delta) {
-      alpha_max = std::min(alpha_max, static_cast<double>(binding));
-    }
+    alpha_max = std::min(alpha_max, binding);
   }
-  return {static_cast<double>(alpha_min), alpha_max, boundary_stable};
+  alpha_interval window;
+  window.lo = rational::from_int(alpha_min);
+  window.lo_closed = boundary_stable && alpha_min > 0;
+  if (alpha_max < infinite_delta) {
+    window.hi = rational::from_int(alpha_max);
+  } else {
+    window.hi_closed = false;
+  }
+  return window;
 }
 
 }  // namespace bnf::testing

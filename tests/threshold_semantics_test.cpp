@@ -90,19 +90,18 @@ bool brute_force_ucg_nash(const graph& g, const rational& alpha) {
 TEST(ThresholdSemanticsTest, StarIsStableExactlyAtItsSymmetricBoundary) {
   // Every missing leaf-leaf link saves BOTH endpoints exactly 1 hop, so
   // at alpha == alpha_min == 1 nobody strictly gains: the boundary is
-  // closed (boundary_stable) and Definition 3 agrees.
+  // closed (lo_closed) and Definition 3 agrees.
   for (int n = 4; n <= 7; ++n) {
     const graph hub = star(n);
-    const stability_record record = compute_stability_record(hub);
-    EXPECT_EQ(record.alpha_min, 1.0);
-    EXPECT_TRUE(record.boundary_stable);
-    EXPECT_TRUE(std::isinf(record.alpha_max));  // all edges are bridges
+    const alpha_interval window = compute_stability_record(hub);
+    EXPECT_EQ(window.lo, rational::from_int(1));
+    EXPECT_TRUE(window.lo_closed);
+    EXPECT_TRUE(window.hi.is_infinite());  // all edges are bridges
     EXPECT_TRUE(is_pairwise_stable(hub, 1.0));
-    EXPECT_TRUE(record.stable_at(1.0));
-    EXPECT_TRUE(to_alpha_interval(record).contains(1.0));
+    EXPECT_TRUE(window.contains(1.0));
     // Strictly below the boundary the leaf pair blocks.
     EXPECT_FALSE(is_pairwise_stable(hub, 0.5));
-    EXPECT_FALSE(to_alpha_interval(record).contains(0.5));
+    EXPECT_FALSE(window.contains(0.5));
   }
 }
 
@@ -110,38 +109,33 @@ TEST(ThresholdSemanticsTest, PathHitsItsIntegerBoundaryExactly) {
   // path(4): the end-to-end pair (0,3) saves 2 hops on each side, so
   // alpha_min = 2 with symmetric savings: stable at exactly 2.
   const graph line = path(4);
-  const stability_record record = compute_stability_record(line);
-  EXPECT_EQ(record.alpha_min, 2.0);
-  EXPECT_TRUE(record.boundary_stable);
+  const alpha_interval window = compute_stability_record(line);
+  EXPECT_EQ(window.lo, rational::from_int(2));
+  EXPECT_TRUE(window.lo_closed);
   EXPECT_TRUE(is_pairwise_stable(line, 2.0));
   EXPECT_FALSE(is_pairwise_stable(line, std::ldexp(2.0, 0) - 0.25));
 }
 
 TEST(ThresholdSemanticsTest, AsymmetricSavingsOpenTheAdditionBoundary) {
-  // Exhaustive check of the ONE open case: wherever boundary_stable is
-  // false some attaining link has asymmetric savings and the pair blocks
-  // at exactly alpha_min; wherever it is true, ties never block. All
-  // three formulations (record, interval, Definition 3) must agree at
-  // the exact integer threshold.
+  // Exhaustive check of the ONE open case: wherever lo is open some
+  // attaining link has asymmetric savings and the pair blocks at exactly
+  // alpha_min; wherever it is closed, ties never block. The window and
+  // Definition 3 must agree at the exact integer threshold.
   long long open_cases = 0;
   long long closed_cases = 0;
   for (int n = 4; n <= 6; ++n) {
     for_each_graph(
         n,
         [&](const graph& g) {
-          const stability_record record = compute_stability_record(g);
-          if (record.alpha_min <= 0 || std::isinf(record.alpha_min)) return;
-          const double at_min = record.alpha_min;  // exact integer double
-          if (at_min > record.alpha_max) return;
-          (record.boundary_stable ? closed_cases : open_cases) += 1;
-          ASSERT_EQ(record.stable_at(at_min), record.boundary_stable)
+          const alpha_interval window = compute_stability_record(g);
+          if (window.lo.num <= 0 || window.lo > window.hi) return;
+          const double at_min = window.lo.to_double();  // exact integer
+          (window.lo_closed ? closed_cases : open_cases) += 1;
+          ASSERT_EQ(window.contains(at_min), window.lo_closed)
               << to_string(g);
-          ASSERT_EQ(to_alpha_interval(record).contains(at_min),
-                    record.boundary_stable)
+          ASSERT_EQ(is_pairwise_stable(g, at_min), window.lo_closed)
               << to_string(g);
-          ASSERT_EQ(is_pairwise_stable(g, at_min), record.boundary_stable)
-              << to_string(g);
-          if (!record.boundary_stable) {
+          if (!window.lo_closed) {
             const auto violation = find_stability_violation(g, at_min);
             ASSERT_TRUE(violation.has_value()) << to_string(g);
             ASSERT_EQ(violation->type, stability_violation::kind::addition)
@@ -160,11 +154,11 @@ TEST(ThresholdSemanticsTest, SeveranceBoundaryIsClosed) {
   // so alpha_max = 4 and the cycle is stable at EXACTLY 4: the severance
   // tie does not block. Just above, it does.
   const graph ring = cycle(5);
-  const stability_record record = compute_stability_record(ring);
-  EXPECT_EQ(record.alpha_max, 4.0);
+  const alpha_interval window = compute_stability_record(ring);
+  EXPECT_EQ(window.hi, rational::from_int(4));
+  EXPECT_TRUE(window.hi_closed);
   EXPECT_TRUE(is_pairwise_stable(ring, 4.0));
-  EXPECT_TRUE(record.stable_at(4.0));
-  EXPECT_TRUE(to_alpha_interval(record).contains(4.0));
+  EXPECT_TRUE(window.contains(4.0));
   EXPECT_FALSE(is_pairwise_stable(ring, 4.5));
   const auto violation = find_stability_violation(ring, 4.5);
   ASSERT_TRUE(violation.has_value());
@@ -193,9 +187,9 @@ TEST(ThresholdSemanticsTest, BlockingPairConventionMatchesProposition1) {
     for_each_graph(
         n,
         [&](const graph& g) {
-          const stability_record record = compute_stability_record(g);
-          for (double probe : {record.alpha_min, record.alpha_max,
-                               record.alpha_min + 1.0}) {
+          const alpha_interval window = compute_stability_record(g);
+          const double lo = window.lo.to_double();
+          for (double probe : {lo, window.hi.to_double(), lo + 1.0}) {
             if (!(probe > 0) || std::isinf(probe)) continue;
             ASSERT_EQ(is_pairwise_stable(g, probe), is_pairwise_nash(g, probe))
                 << to_string(g) << " alpha=" << probe;
