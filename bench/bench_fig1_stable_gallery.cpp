@@ -25,16 +25,7 @@ std::string srg_string(const bnf::graph& g) {
 }
 
 std::string window_string(const bnf::alpha_interval& window) {
-  std::ostringstream out;
-  const std::string lo = bnf::fmt_alpha(window.lo.to_double());
-  if (window.lo < window.hi) {
-    out << "(" << lo << ", " << bnf::fmt_alpha(window.hi.to_double()) << "]";
-  } else if (!window.empty()) {
-    out << "{" << lo << "}";  // boundary point
-  } else {
-    out << "empty";
-  }
-  return out.str();
+  return window.empty() ? "empty" : bnf::to_string(window);
 }
 
 }  // namespace

@@ -12,28 +12,21 @@
 
 namespace {
 
-struct paper_window {
-  double lo;
-  double hi;
-};
-
-paper_window lemma6_formula(int n) {
+// The paper's window for C_n, as the open interval it states.
+bnf::alpha_interval lemma6_formula(long long n) {
+  bnf::alpha_interval window;
   if (n % 4 == 2) {
-    return {(n * n - 4.0 * n + 4.0) / 8.0, n * (n - 2.0) / 4.0};
+    window.lo = bnf::rational::make(n * n - 4 * n + 4, 8);
+    window.hi = bnf::rational::make(n * (n - 2), 4);
+  } else if (n % 4 == 0) {
+    window.lo = bnf::rational::make(n * n - 4 * n + 8, 8);
+    window.hi = bnf::rational::make(n * (n - 2), 4);
+  } else {
+    window.lo = bnf::rational::make((n - 3) * (n + 1), 8);
+    window.hi = bnf::rational::make((n + 1) * (n - 1), 4);
   }
-  if (n % 4 == 0) {
-    return {(n * n - 4.0 * n + 8.0) / 8.0, n * (n - 2.0) / 4.0};
-  }
-  return {(n - 3.0) * (n + 1.0) / 8.0, (n + 1.0) * (n - 1.0) / 4.0};
-}
-
-std::string window_text(double lo, double hi, char close_bracket) {
-  std::string text = "(";
-  text += bnf::fmt_alpha(lo);
-  text += ", ";
-  text += bnf::fmt_alpha(hi);
-  text += close_bracket;
-  return text;
+  window.hi_closed = false;
+  return window;
 }
 
 }  // namespace
@@ -56,19 +49,16 @@ int main(int argc, char** argv) {
        n <= static_cast<int>(args.get_int("n-max")); ++n) {
     const bnf::graph g = bnf::cycle(n);
     const bnf::alpha_interval window = bnf::compute_stability_record(g);
-    const double lo = window.lo.to_double();
-    const double hi = window.hi.to_double();
-    const paper_window paper = lemma6_formula(n);
-    const bool match = lo == paper.lo && hi == paper.hi;
+    const bnf::alpha_interval paper = lemma6_formula(n);
+    const bool match = window.lo == paper.lo && window.hi == paper.hi;
 
-    const double alpha = (lo + hi) / 2.0;
+    const double alpha = (window.lo.to_double() + window.hi.to_double()) / 2.0;
     const bnf::connection_game game{n, alpha, bnf::link_rule::bilateral};
     const double poa = bnf::price_of_anarchy(g, game);
 
     table.add_row(
         {std::to_string(n),
-         window_text(lo, hi, ']'),
-         window_text(paper.lo, paper.hi, ')'),
+         bnf::to_string(window), bnf::to_string(paper),
          match ? "yes" : "NO (see EXPERIMENTS.md)",
          bnf::is_link_convex(g) ? "yes" : "no", bnf::fmt_double(alpha, 2),
          bnf::fmt_double(poa, 4),

@@ -170,6 +170,22 @@ BENCHMARK(BM_OrderlyCountConnected)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+void BM_OrderlyShard(benchmark::State& state) {
+  // One fixed shard of the engine's 128-way n = 10 census: generation
+  // alone (pre-filter, last-cell rejection, canonical search) per
+  // topology, with the seed level built once outside the timed loop.
+  static const bnf::enumeration_plan plan(10, 128, {.threads = 1});
+  std::uint64_t emitted = 0;
+  for (auto _ : state) {
+    emitted = plan.for_each_key(17, [](std::uint64_t key) {
+      benchmark::DoNotOptimize(key);
+    });
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(emitted));
+}
+BENCHMARK(BM_OrderlyShard)->Unit(benchmark::kMillisecond);
+
 void BM_OrderlyTrees(benchmark::State& state) {
   // Hereditary forest prune: cost tracks the 106 trees on 10 vertices,
   // not the 11.7M connected classes.

@@ -71,14 +71,8 @@ int main(int argc, char** argv) {
           log_alpha > 0 ? bnf::fmt_double(poa / log_alpha, 4) : "-";
     }
 
-    std::string window_text = "empty";
-    if (stable_somewhere) {
-      window_text = "(";
-      window_text += bnf::fmt_alpha(window.lo.to_double());
-      window_text += ", ";
-      window_text += bnf::fmt_alpha(window.hi.to_double());
-      window_text += "]";
-    }
+    const std::string window_text =
+        stable_somewhere ? bnf::to_string(window) : "empty";
     table.add_row({name, std::to_string(g.order()),
                    k ? std::to_string(*k) : "-", std::to_string(diam),
                    std::to_string(bnf::girth(g)),

@@ -69,9 +69,8 @@ int main(int argc, char** argv) {
 
   // What the window of viable link costs looks like for this topology.
   const alpha_interval window = compute_stability_record(fabric);
-  std::cout << "this fabric stays stable for alpha in ("
-            << fmt_alpha(window.lo.to_double()) << ", "
-            << fmt_alpha(window.hi.to_double()) << "]\n";
+  std::cout << "this fabric stays stable for alpha in " << to_string(window)
+            << "\n";
 
   // Who bears the burden of stability? (the regulator's star would load
   // everything onto the hub).

@@ -40,9 +40,8 @@ void print_card(const bnf::named_graph& entry) {
 
   const alpha_interval window = compute_stability_record(g);
   if (window.lo < window.hi) {
-    std::cout << "   pairwise stable for alpha in ("
-              << fmt_alpha(window.lo.to_double()) << ", "
-              << fmt_alpha(window.hi.to_double()) << "]\n";
+    std::cout << "   pairwise stable for alpha in " << to_string(window)
+              << "\n";
   } else if (!window.empty()) {
     std::cout << "   pairwise stable exactly at alpha = "
               << fmt_alpha(window.lo.to_double()) << " (boundary tie)\n";
@@ -53,9 +52,8 @@ void print_card(const bnf::named_graph& entry) {
 
   const alpha_interval proper = proper_equilibrium_window(g);
   if (proper.lo < proper.hi) {
-    std::cout << "   certified proper equilibrium (Prop 2) for alpha in ("
-              << fmt_alpha(proper.lo.to_double()) << ", "
-              << fmt_alpha(proper.hi.to_double()) << "]\n";
+    std::cout << "   certified proper equilibrium (Prop 2) for alpha in "
+              << to_string(proper) << "\n";
   } else {
     std::cout << "   no proper-equilibrium certificate via link convexity\n";
   }

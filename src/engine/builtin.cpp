@@ -294,8 +294,8 @@ class quickstart_scenario final : public scenario {
       const alpha_interval window = compute_stability_record(g);
       const std::string lo = fmt_alpha(window.lo.to_double());
       const std::string hi = fmt_alpha(window.hi.to_double());
-      ctx.out << name << ": stable for alpha in (" << lo << ", " << hi
-              << "]\n";
+      ctx.out << name << ": stable for alpha in " << to_string(window)
+              << "\n";
       windows.add_row({name, lo, hi});
     }
     ctx.emit("stability_windows", windows);

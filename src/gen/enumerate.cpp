@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -15,8 +16,6 @@
 namespace bnf {
 
 namespace {
-
-using aut_generators = std::vector<std::array<std::uint8_t, max_vertices>>;
 
 // Batched generator telemetry: the per-candidate path only bumps plain
 // local integers; one flush per shard (or per seed-level chunk) turns the
@@ -67,31 +66,30 @@ std::uint64_t permuted_mask(
 // One canonical-augmentation step: attach a new vertex to `parent` (k
 // vertices, automorphism generators `gens` in the parent's own labels) in
 // every way that survives the orderly filters, and hand each ACCEPTED
-// child to `sink(child, canon)`:
+// child to `sink(child, key, generators)` — its canonical key and its
+// automorphism generators in the child's labels, valid until the sink
+// returns:
 //
 //   * one attachment set per orbit of Aut(parent) on subsets of V(parent)
 //     — closing each orbit with the generators as it is first met — so a
 //     child class never arises twice from the same parent;
-//   * accept iff the new vertex k lies in the same Aut(child)-orbit as
-//     the vertex at the LAST canonical position (the canonical deletion
-//     vertex), so across parents each child class survives from exactly
-//     one of them.
-//
-// The first refinement of the canonical search orders degrees descending,
-// pinning the last canonical position to minimum degree — hence the
-// popcount pre-filter: a new vertex of above-minimum degree can never be
-// orbit-equivalent to the deletion vertex, and most candidates die here
-// without a canonical form ever being computed.
+//   * the O(1) degree pre-filter rejects a new vertex of above-minimum
+//     degree before the child's row is written;
+//   * canonical_deletion_key accepts iff the new vertex k lies in the
+//     same Aut(child)-orbit as the canonical deletion vertex, so across
+//     parents each child class survives from exactly one of them.
 //
 // With `forests_only`, attachment sets touching any parent component
 // twice are skipped before the rewrite; forests are hereditary under
 // vertex deletion, so construction paths of forests stay inside the class
 // and the exactly-once guarantee carries over unchanged.
 template <typename Sink>
-void augment_once(const graph& parent, const aut_generators& gens,
+void augment_once(const graph& parent, const automorphism_generators& gens,
                   bool forests_only, orderly_stats& stats, Sink&& sink) {
   const int k = parent.order();
   graph child = parent.with_vertex();
+  const attachment_degree_filter degree_filter(parent);
+  automorphism_generators child_gens;
 
   std::vector<std::uint64_t> comps;
   if (forests_only && k > 0) comps = components(parent);
@@ -132,33 +130,21 @@ void augment_once(const graph& parent, const aut_generators& gens,
       if (cyclic) continue;
     }
 
-    // Rewrite the new vertex's neighbourhood to `subset`.
-    for_each_bit(child.neighbors(k), [&](int w) { child.remove_edge(k, w); });
-    for_each_bit(subset, [&](int w) { child.add_edge(k, w); });
-
     ++stats.candidates;
-    const int new_degree = popcount(subset);
-    bool above_minimum = false;
-    for (int u = 0; u < k; ++u) {
-      if (popcount(child.neighbors(u)) < new_degree) {
-        above_minimum = true;
-        break;
-      }
-    }
-    if (above_minimum) {
+    if (degree_filter.above_minimum(subset)) {
       ++stats.prefilter_rejects;
       continue;
     }
 
-    canon_result canon = canonical_form(child);
-    const int deletion = canon.labeling[static_cast<std::size_t>(k)];
-    if (canon.orbits[static_cast<std::size_t>(k)] !=
-        canon.orbits[static_cast<std::size_t>(deletion)]) {
+    child.set_neighbors(k, subset);
+    const std::optional<std::uint64_t> key =
+        canonical_deletion_key(child, child_gens);
+    if (!key) {
       ++stats.orbit_rejects;
       continue;
     }
     ++stats.accepts;
-    sink(child, std::move(canon));
+    sink(child, *key, child_gens);
   }
 }
 
@@ -166,19 +152,21 @@ void augment_once(const graph& parent, const aut_generators& gens,
 // vertices, emitting each accepted class's canonical key exactly once.
 // Deterministic: the construction path of a class is unique and subsets
 // are tried in fixed ascending order.
-std::uint64_t expand_to_target(const graph& parent, const aut_generators& gens,
+std::uint64_t expand_to_target(const graph& parent,
+                               const automorphism_generators& gens,
                                int target, bool connected_only,
                                bool forests_only, orderly_stats& stats,
                                const std::function<void(std::uint64_t)>& fn) {
   std::uint64_t emitted = 0;
   augment_once(parent, gens, forests_only, stats,
-               [&](const graph& child, canon_result&& canon) {
+               [&](const graph& child, std::uint64_t key,
+                   const automorphism_generators& child_gens) {
                  if (child.order() == target) {
                    if (connected_only && !is_connected(child)) return;
-                   fn(canon.canonical.key64());
+                   fn(key);
                    ++emitted;
                  } else {
-                   emitted += expand_to_target(child, canon.generators, target,
+                   emitted += expand_to_target(child, child_gens, target,
                                                connected_only, forests_only,
                                                stats, fn);
                  }
@@ -215,6 +203,15 @@ void check_expected_count(int n, const enumeration_options& options,
 
 }  // namespace
 
+attachment_degree_filter::attachment_degree_filter(const graph& parent) {
+  const int k = parent.order();
+  for (int u = 0; u < k; ++u) {
+    for (int d = parent.degree(u) + 1; d <= k; ++d) {
+      below_[static_cast<std::size_t>(d)] |= bit(u);
+    }
+  }
+}
+
 enumeration_plan::enumeration_plan(int n, std::size_t shard_count,
                                    const enumeration_options& options)
     : n_(n),
@@ -243,10 +240,9 @@ enumeration_plan::enumeration_plan(int n, std::size_t shard_count,
           for (std::size_t p = begin; p < end; ++p) {
             augment_once(seeds_[p].g, seeds_[p].generators, forests_only_,
                          stats,
-                         [&](const graph& child, canon_result&& canon) {
-                           local.push_back(
-                               seed{child, std::move(canon.generators),
-                                    canon.canonical.key64()});
+                         [&](const graph& child, std::uint64_t key,
+                             const automorphism_generators& child_gens) {
+                           local.push_back(seed{child, child_gens, key});
                          });
           }
           flush_orderly_stats(stats);

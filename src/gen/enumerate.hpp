@@ -8,14 +8,30 @@
 //
 //   * From a parent P, a new vertex is attached to one representative
 //     attachment set per orbit of Aut(P) acting on subsets of V(P) (the
-//     generators come straight out of canonical_form), so no child class
-//     is built twice from the same parent.
+//     generators come out of the parent's own acceptance test), so no
+//     child class is built twice from the same parent.
 //   * A candidate child C is ACCEPTED iff its augmenting vertex lies in
 //     the same Aut(C)-orbit as the canonical deletion vertex — the vertex
-//     at the LAST position of C's canonical labeling. Since the labeling's
-//     first refinement orders degrees descending, that vertex always has
-//     minimum degree, which gives a cheap popcount pre-filter that rejects
-//     most candidates before any canonical form is computed.
+//     at the LAST position of C's canonical labeling.
+//
+// Two exact shortcuts decide most candidates before any search:
+//
+//   * Degree pre-filter. The canonical search starts by refining the unit
+//     partition, which orders degrees descending, so the deletion vertex
+//     always has minimum degree. A new vertex of above-minimum degree is
+//     rejected in O(1) from per-parent masks (attachment_degree_filter),
+//     before the child's row is even written.
+//   * Last-cell rejection. Refinement is isomorphism-invariant, so every
+//     Aut(C)-orbit lies inside one cell of the refined root partition,
+//     and the deletion vertex lies in its last cell. A new vertex outside
+//     that cell is rejected after one refinement, with no branching
+//     (canonical_deletion_key in graph/canonical.hpp). Only candidates in
+//     the last cell pay the full search, which continues from the same
+//     refined partition.
+//
+// Neither shortcut changes a verdict, so keys and construction paths do
+// not depend on them. A last-cell rejection counts as an orbit reject
+// (gen.orderly.orbit_rejects), like one found by the full search.
 //
 // Every class therefore has a unique construction path from the empty
 // graph, which is what makes sharding exact: partitioning the classes at a
@@ -32,7 +48,9 @@
 #include <span>
 #include <vector>
 
+#include "graph/canonical.hpp"
 #include "graph/graph.hpp"
+#include "util/bitops.hpp"
 
 namespace bnf {
 
@@ -59,6 +77,31 @@ inline constexpr std::uint64_t known_forest_counts[12] = {
 /// Known counts of trees on n = 0..11 vertices (OEIS A000055).
 inline constexpr std::uint64_t known_tree_counts[12] = {
     1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235};
+
+/// The orderly generator's degree pre-filter for one parent graph, built
+/// once per parent: below_[d] is the mask of parent vertices of degree < d.
+/// Attaching a new vertex to S (|S| = d) raises the degree of S's members
+/// by one, so some child vertex has degree < d iff
+/// (below_[d] & ~S) | (below_[d-1] & S) is nonzero.
+class attachment_degree_filter {
+ public:
+  explicit attachment_degree_filter(const graph& parent);
+
+  /// True iff the new vertex, attached to `subset`, has above-minimum
+  /// degree in the child (so it cannot be the canonical deletion vertex).
+  /// Requires subset within parent.vertex_mask().
+  [[nodiscard]] bool above_minimum(std::uint64_t subset) const noexcept {
+    const int d = popcount(subset);
+    // For d = 0 the subset is empty and the second term vanishes anyway.
+    const std::uint64_t low = below_[static_cast<std::size_t>(d)];
+    const std::uint64_t raised =
+        below_[static_cast<std::size_t>(d > 0 ? d - 1 : 0)];
+    return ((low & ~subset) | (raised & subset)) != 0;
+  }
+
+ private:
+  std::array<std::uint64_t, max_vertices + 1> below_{};
+};
 
 /// Options for enumeration. The defaults are UNIFORM across every entry
 /// point — all_graph_keys, count_graphs, for_each_graph, all_graphs and
@@ -104,7 +147,7 @@ class enumeration_plan {
  private:
   struct seed {
     graph g;  // construction-path labels (any labeling works)
-    std::vector<std::array<std::uint8_t, max_vertices>> generators;
+    automorphism_generators generators;
     std::uint64_t key;  // canonical key, for deterministic seed order
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "graph/metrics.hpp"
 #include "util/bitops.hpp"
@@ -16,9 +17,11 @@ namespace {
 constexpr int max_generators = 512;
 
 // An ordered partition of the vertices: `elems` lists vertices, cells are
-// maximal runs with is_start marking each cell's first position.
+// maximal runs with is_start marking each cell's first position, and
+// `cells` counts them (the partition is discrete when cells == n).
 struct ordered_partition {
   int n{0};
+  int cells{0};
   std::array<std::uint8_t, max_vertices> elems{};
   std::array<bool, max_vertices> is_start{};
 };
@@ -46,42 +49,46 @@ struct union_find {
   }
 };
 
+// One canonical search over g. Construct, call search(refined_root()),
+// then read the winning certificate and the discovered automorphisms.
 class canon_search {
  public:
-  explicit canon_search(const graph& g)
-      : g_(g), n_(g.order()), orbits_(n_) {}
-
-  canon_result run() {
-    canon_result result;
-    if (n_ == 0) {
-      result.canonical = graph(0);
-      return result;
+  // `generators` receives the discovered automorphisms; it is cleared here
+  // and must outlive the search.
+  canon_search(const graph& g, automorphism_generators& generators)
+      : n_(g.order()), generators_(generators), orbits_(n_) {
+    for (int v = 0; v < n_; ++v) {
+      rows_[static_cast<std::size_t>(v)] = g.neighbors(v);
     }
+    generators_.clear();
+  }
 
+  // The unit partition made equitable: the root of the search tree.
+  [[nodiscard]] ordered_partition refined_root() const {
     ordered_partition root;
     root.n = n_;
+    root.cells = n_ > 0 ? 1 : 0;
     for (int i = 0; i < n_; ++i) {
       root.elems[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i);
       root.is_start[static_cast<std::size_t>(i)] = (i == 0);
     }
-    refine(root, g_.vertex_mask());
-    path_.clear();
-    search(root);
-
-    result.labeling.assign(best_leaf_.begin(), best_leaf_.begin() + n_);
-    std::vector<int> perm(static_cast<std::size_t>(n_));
-    for (int p = 0; p < n_; ++p) {
-      perm[static_cast<std::size_t>(result.labeling[static_cast<std::size_t>(p)])] = p;
-    }
-    result.canonical = g_.permuted(perm);
-    result.orbits.resize(static_cast<std::size_t>(n_));
-    for (int v = 0; v < n_; ++v) {
-      result.orbits[static_cast<std::size_t>(v)] = orbits_.find(v);
-    }
-    result.generators_found = static_cast<int>(generators_.size());
-    result.generators = std::move(generators_);  // after orbits_ is final
-    return result;
+    refine(root, low_bits(n_));
+    return root;
   }
+
+  // The winning certificate: rows[p] is the neighbour mask of canonical
+  // position p, i.e. the canonical graph's adjacency rows.
+  [[nodiscard]] std::span<const std::uint64_t> canonical_rows() const {
+    return {best_rows_.data(), static_cast<std::size_t>(n_)};
+  }
+
+  // Original vertex placed at canonical position p.
+  [[nodiscard]] int canonical_vertex(int p) const {
+    return best_leaf_[static_cast<std::size_t>(p)];
+  }
+
+  // Smallest vertex in v's orbit under the discovered automorphisms.
+  [[nodiscard]] int orbit(int v) { return orbits_.find(v); }
 
  private:
   // --- refinement ---------------------------------------------------------
@@ -93,12 +100,14 @@ class canon_search {
 
   // Make the partition equitable, starting from `initial_scope` as the
   // first splitting scope (1-dimensional Weisfeiler-Leman refinement).
-  void refine(ordered_partition& p, std::uint64_t initial_scope) {
+  // A discrete partition cannot split further, so the scopes still queued
+  // then are dropped unread.
+  void refine(ordered_partition& p, std::uint64_t initial_scope) const {
     std::array<std::uint64_t, max_worklist> worklist{};
     int work_count = 0;
     worklist[static_cast<std::size_t>(work_count++)] = initial_scope;
 
-    while (work_count > 0) {
+    while (work_count > 0 && p.cells < p.n) {
       const std::uint64_t scope = worklist[static_cast<std::size_t>(--work_count)];
       int pos = 0;
       while (pos < p.n) {
@@ -120,7 +129,7 @@ class canon_search {
   void split_cell(ordered_partition& p, int begin, int end,
                   std::uint64_t scope,
                   std::array<std::uint64_t, max_worklist>& worklist,
-                  int& work_count) {
+                  int& work_count) const {
     std::array<std::uint8_t, max_vertices> verts{};
     std::array<std::int8_t, max_vertices> counts{};
     const int size = end - begin;
@@ -128,8 +137,8 @@ class canon_search {
     for (int i = 0; i < size; ++i) {
       const int v = p.elems[static_cast<std::size_t>(begin + i)];
       verts[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v);
-      counts[static_cast<std::size_t>(i)] =
-          static_cast<std::int8_t>(popcount(g_.neighbors(v) & scope));
+      counts[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(
+          popcount(rows_[static_cast<std::size_t>(v)] & scope));
       if (counts[static_cast<std::size_t>(i)] != counts[0]) uniform = false;
     }
     if (uniform) return;
@@ -161,6 +170,7 @@ class canon_search {
         worklist[static_cast<std::size_t>(work_count++)] = fragment_mask;
         if (i + 1 < size) {
           p.is_start[static_cast<std::size_t>(begin + i + 1)] = true;
+          ++p.cells;
         }
         fragment_mask = 0;
       }
@@ -190,6 +200,7 @@ class canon_search {
     return {best_begin, best_begin + best_size};
   }
 
+ public:
   void search(const ordered_partition& p) {
     const auto [begin, end] = target_cell(p);
     if (begin < 0) {
@@ -215,12 +226,13 @@ class canon_search {
       ordered_partition child = p;
       individualize(child, begin, end, v);
       refine(child, bit(v));
-      path_.push_back(v);
+      path_[static_cast<std::size_t>(depth_++)] = static_cast<std::uint8_t>(v);
       search(child);
-      path_.pop_back();
+      --depth_;
     }
   }
 
+ private:
   // Move v to the front of its cell and make it a singleton.
   static void individualize(ordered_partition& p, int begin, int end, int v) {
     for (int i = begin; i < end; ++i) {
@@ -231,6 +243,7 @@ class canon_search {
         }
         p.elems[static_cast<std::size_t>(begin)] = static_cast<std::uint8_t>(v);
         p.is_start[static_cast<std::size_t>(begin + 1)] = true;
+        ++p.cells;
         return;
       }
     }
@@ -247,7 +260,8 @@ class canon_search {
       grew = false;
       for (const auto& perm : generators_) {
         bool fixes_path = true;
-        for (const int u : path_) {
+        for (int d = 0; d < depth_; ++d) {
+          const int u = path_[static_cast<std::size_t>(d)];
           if (perm[static_cast<std::size_t>(u)] != u) {
             fixes_path = false;
             break;
@@ -282,7 +296,7 @@ class canon_search {
     for (int pos = 0; pos < n_; ++pos) {
       const int v = p.elems[static_cast<std::size_t>(pos)];
       std::uint64_t row = 0;
-      for_each_bit(g_.neighbors(v), [&](int w) {
+      for_each_bit(rows_[static_cast<std::size_t>(v)], [&](int w) {
         row |= bit(position[static_cast<std::size_t>(w)]);
       });
       rows[static_cast<std::size_t>(pos)] = row;
@@ -335,24 +349,72 @@ class canon_search {
     }
   }
 
-  const graph& g_;
   int n_;
-  std::vector<int> path_;  // vertices individualized on the current path
+  // g's adjacency rows, read without the graph's per-call bounds check.
+  std::array<std::uint64_t, max_vertices> rows_{};
+  // Vertices individualized on the current path, path_[0..depth_).
+  std::array<std::uint8_t, max_vertices> path_{};
+  int depth_{0};
   bool have_best_{false};
   std::array<std::uint64_t, max_vertices> best_rows_{};
   std::array<std::uint8_t, max_vertices> best_leaf_{};
-  std::vector<std::array<std::uint8_t, max_vertices>> generators_;
+  automorphism_generators& generators_;
   union_find orbits_;
 };
 
+// True iff v lies in the last cell of p.
+bool in_last_cell(const ordered_partition& p, int v) {
+  for (int pos = p.n - 1; pos >= 0; --pos) {
+    if (p.elems[static_cast<std::size_t>(pos)] == v) return true;
+    if (p.is_start[static_cast<std::size_t>(pos)]) return false;
+  }
+  return false;
+}
+
 }  // namespace
 
-canon_result canonical_form(const graph& g) { return canon_search(g).run(); }
+canon_result canonical_form(const graph& g) {
+  canon_result result;
+  const int n = g.order();
+  canon_search search(g, result.generators);
+  search.search(search.refined_root());
+
+  result.labeling.resize(static_cast<std::size_t>(n));
+  result.orbits.resize(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    result.labeling[static_cast<std::size_t>(v)] = search.canonical_vertex(v);
+    result.orbits[static_cast<std::size_t>(v)] = search.orbit(v);
+  }
+  result.canonical = graph::from_rows(search.canonical_rows());
+  result.generators_found = static_cast<int>(result.generators.size());
+  return result;
+}
 
 std::uint64_t canonical_key64(const graph& g) {
   expects(g.order() <= max_key64_vertices,
           "canonical_key64: requires order <= 11");
-  return canonical_form(g).canonical.key64();
+  automorphism_generators generators;
+  canon_search search(g, generators);
+  search.search(search.refined_root());
+  return pack_key64(search.canonical_rows());
+}
+
+std::optional<std::uint64_t> canonical_deletion_key(
+    const graph& g, automorphism_generators& generators) {
+  const int n = g.order();
+  expects(n >= 1 && n <= max_key64_vertices,
+          "canonical_deletion_key: requires 1 <= order <= 11");
+  const int v = n - 1;
+  canon_search search(g, generators);
+  const ordered_partition root = search.refined_root();
+  // Orbits lie inside cells and the deletion vertex lies in the last cell,
+  // so outside it v cannot share the deletion vertex's orbit.
+  if (!in_last_cell(root, v)) return std::nullopt;
+  search.search(root);
+  if (search.orbit(v) != search.orbit(search.canonical_vertex(n - 1))) {
+    return std::nullopt;
+  }
+  return pack_key64(search.canonical_rows());
 }
 
 bool are_isomorphic(const graph& a, const graph& b) {

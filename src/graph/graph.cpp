@@ -23,6 +23,23 @@ graph graph::from_edges(int n, std::span<const std::pair<int, int>> edges) {
   return g;
 }
 
+graph graph::from_rows(std::span<const std::uint64_t> rows) {
+  expects(rows.size() <= static_cast<std::size_t>(max_vertices),
+          "graph::from_rows: at most 64 rows");
+  graph g(static_cast<int>(rows.size()));
+  for (int v = 0; v < g.n_; ++v) {
+    const std::uint64_t row = rows[static_cast<std::size_t>(v)];
+    expects((row & ~g.vertex_mask()) == 0 && !has_bit(row, v),
+            "graph::from_rows: row has a self-loop or an out-of-range bit");
+    for_each_bit(row, [&](int w) {
+      expects(has_bit(rows[static_cast<std::size_t>(w)], v),
+              "graph::from_rows: rows are not symmetric");
+    });
+    g.adj_[static_cast<std::size_t>(v)] = row;
+  }
+  return g;
+}
+
 int graph::size() const noexcept {
   int twice = 0;
   for (const auto row : adj_) twice += popcount(row);
@@ -57,6 +74,17 @@ bool graph::toggle_edge(int u, int v) {
   adj_[static_cast<std::size_t>(u)] ^= bit(v);
   adj_[static_cast<std::size_t>(v)] ^= bit(u);
   return has_bit(adj_[static_cast<std::size_t>(u)], v);
+}
+
+void graph::set_neighbors(int v, std::uint64_t mask) {
+  check_vertex(v);
+  expects((mask & ~vertex_mask()) == 0 && !has_bit(mask, v),
+          "graph::set_neighbors: mask has v itself or an out-of-range bit");
+  std::uint64_t& row = adj_[static_cast<std::size_t>(v)];
+  for_each_bit(row ^ mask, [&](int w) {
+    adj_[static_cast<std::size_t>(w)] ^= bit(v);
+  });
+  row = mask;
 }
 
 graph graph::with_edge(int u, int v) const {
@@ -148,12 +176,20 @@ graph graph::with_vertex() const {
 
 std::uint64_t graph::key64() const {
   expects(n_ <= max_key64_vertices, "graph::key64: requires order <= 11");
+  return pack_key64(adj_);
+}
+
+std::uint64_t pack_key64(std::span<const std::uint64_t> rows) {
+  expects(rows.size() <= static_cast<std::size_t>(max_key64_vertices),
+          "pack_key64: requires at most 11 rows");
+  const int n = static_cast<int>(rows.size());
+  // Row i contributes its bits j > i, which land at consecutive key bits.
   std::uint64_t key = 0;
   int index = 0;
-  for (int i = 0; i < n_; ++i) {
-    for (int j = i + 1; j < n_; ++j, ++index) {
-      if (has_bit(adj_[static_cast<std::size_t>(i)], j)) key |= bit(index);
-    }
+  for (int i = 0; i < n; ++i) {
+    key |= ((rows[static_cast<std::size_t>(i)] & low_bits(n)) >> (i + 1))
+           << index;
+    index += n - 1 - i;
   }
   return key;
 }

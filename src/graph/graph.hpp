@@ -36,6 +36,10 @@ class graph {
   /// Build from an explicit edge list. Requires valid distinct endpoints.
   graph(int n, std::initializer_list<std::pair<int, int>> edges);
   static graph from_edges(int n, std::span<const std::pair<int, int>> edges);
+  /// Build from adjacency rows: rows[v] is v's neighbour mask and the
+  /// order is rows.size(). Requires at most 64 rows forming a simple
+  /// undirected graph (symmetric, no self-loops, no bits beyond the order).
+  static graph from_rows(std::span<const std::uint64_t> rows);
 
   [[nodiscard]] int order() const noexcept { return n_; }
   [[nodiscard]] int size() const noexcept;  // number of edges
@@ -50,6 +54,9 @@ class graph {
   void remove_edge(int u, int v);
   /// Flip edge (u,v); returns true if the edge exists after the toggle.
   bool toggle_edge(int u, int v);
+  /// Rewrite v's neighbourhood to exactly `mask`, updating the other
+  /// endpoints' rows. Requires mask within vertex_mask() and without v.
+  void set_neighbors(int v, std::uint64_t mask);
 
   // The two hottest accessors of the equilibrium kernels (every BFS
   // frontier step reads a row) are defined inline so the bounds check
@@ -89,7 +96,7 @@ class graph {
 
   /// Pack the upper triangle (pairs (i,j), i<j, row-major) into a 64-bit
   /// key. Requires order() <= 11. Together with `order`, identifies the
-  /// labeled graph exactly.
+  /// labeled graph exactly. Same as pack_key64 over the rows.
   [[nodiscard]] std::uint64_t key64() const;
   /// Inverse of key64 for a given order.
   static graph from_key64(int n, std::uint64_t key);
@@ -110,6 +117,12 @@ class graph {
   int n_{0};
   std::vector<std::uint64_t> adj_;
 };
+
+/// The key64 packing of the graph whose adjacency rows are `rows`, read
+/// straight from the rows without building a graph (the canonical search
+/// hands out its certificate this way). Requires rows.size() <= 11; bits
+/// at or beyond rows.size() are ignored.
+[[nodiscard]] std::uint64_t pack_key64(std::span<const std::uint64_t> rows);
 
 /// Human-readable one-line description: "n=5 m=4 edges={(0,1),...}".
 [[nodiscard]] std::string to_string(const graph& g);

@@ -95,6 +95,23 @@ TEST(RegistryTest, UnknownScenarioNameReturnsTwo) {
             2);
 }
 
+TEST(RegistryTest, QuickstartPrintsExactWindowBrackets) {
+  // The narrative states each window with its true bracket kinds: the
+  // star is stable at alpha = 1 itself and for every finite alpha above.
+  register_builtin_scenarios();
+  const std::array argv{"prog"};
+  std::ostringstream out;
+  ASSERT_EQ(run_scenario_main("quickstart", static_cast<int>(argv.size()),
+                              argv.data(), out),
+            0);
+  EXPECT_NE(out.str().find("star: stable for alpha in [1, inf)\n"),
+            std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("complete: stable for alpha in (0, 1]\n"),
+            std::string::npos)
+      << out.str();
+}
+
 TEST(RunnerTest, ShardSeedsAreStableAndDistinct) {
   EXPECT_EQ(shard_seed(1, 0), shard_seed(1, 0));
   EXPECT_NE(shard_seed(1, 0), shard_seed(1, 1));

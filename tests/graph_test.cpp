@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "gen/named.hpp"
@@ -134,6 +135,59 @@ TEST(GraphTest, Key64RoundTrip) {
   const graph g = petersen();  // n=10 <= 11
   const graph back = graph::from_key64(10, g.key64());
   EXPECT_EQ(back, g);
+}
+
+TEST(GraphTest, Key64MatchesPairByPairPacking) {
+  // Every key bit of every pair, on graphs dense in some rows and empty
+  // in others, at each order the key supports.
+  for (int n = 0; n <= max_key64_vertices; ++n) {
+    graph g(n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        if ((i * 7 + j * 3) % 5 < 2) g.add_edge(i, j);
+      }
+    }
+    std::uint64_t expected = 0;
+    int index = 0;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j, ++index) {
+        if (g.has_edge(i, j)) expected |= std::uint64_t{1} << index;
+      }
+    }
+    std::vector<std::uint64_t> rows;
+    for (int v = 0; v < n; ++v) rows.push_back(g.neighbors(v));
+    EXPECT_EQ(g.key64(), expected) << n;
+    EXPECT_EQ(pack_key64(rows), expected) << n;
+    EXPECT_EQ(graph::from_key64(n, expected), g) << n;
+  }
+  EXPECT_EQ(complete(11).key64(), (std::uint64_t{1} << 55) - 1);
+}
+
+TEST(GraphTest, FromRowsRoundTripsAndValidates) {
+  const graph g = petersen();
+  std::vector<std::uint64_t> rows;
+  for (int v = 0; v < g.order(); ++v) rows.push_back(g.neighbors(v));
+  EXPECT_EQ(graph::from_rows(rows), g);
+  EXPECT_EQ(graph::from_rows({}).order(), 0);
+
+  const std::array<std::uint64_t, 2> one_way{0b10, 0b00};
+  EXPECT_THROW((void)graph::from_rows(one_way), precondition_error);
+  const std::array<std::uint64_t, 2> loop{0b01, 0b00};
+  EXPECT_THROW((void)graph::from_rows(loop), precondition_error);
+  const std::array<std::uint64_t, 2> stray{0b110, 0b001};
+  EXPECT_THROW((void)graph::from_rows(stray), precondition_error);
+}
+
+TEST(GraphTest, SetNeighborsRewritesBothEndpoints) {
+  graph g = path(5);  // 0-1-2-3-4
+  g.set_neighbors(2, 0b10001);
+  EXPECT_EQ(g, graph(5, {{0, 1}, {0, 2}, {2, 4}, {3, 4}}));
+  g.set_neighbors(2, 0);
+  EXPECT_EQ(g.degree(2), 0);
+  EXPECT_EQ(g.size(), 2);
+  EXPECT_THROW(g.set_neighbors(2, 0b00100), precondition_error);   // self
+  EXPECT_THROW(g.set_neighbors(2, 0b100000), precondition_error);  // range
+  EXPECT_THROW(g.set_neighbors(5, 0), precondition_error);
 }
 
 TEST(GraphTest, Key64RejectsLargeOrder) {

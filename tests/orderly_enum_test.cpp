@@ -11,12 +11,19 @@
 // The sharding contract (per-shard outputs disjoint, union = full level,
 // independent of shard count) is what lets the engines stream shards with
 // zero coordination; it is property-tested here directly.
+//
+// Key sets alone cannot see a change of construction path (it would only
+// move keys between shards), so the per-candidate decisions are checked
+// against testing::reference_augmentation, and the n = 9 census pins the
+// generator's work counters.
 #include "gen/enumerate.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <span>
 #include <vector>
@@ -24,6 +31,10 @@
 #include "graph/canonical.hpp"
 #include "graph/graph.hpp"
 #include "graph/paths.hpp"
+#include "obs/metrics.hpp"
+#include "testing.hpp"
+#include "util/bitops.hpp"
+#include "util/rng.hpp"
 
 namespace bnf {
 namespace {
@@ -156,6 +167,108 @@ TEST(OrderlyEnumTest, ChunkStreamMatchesMaterializedKeys) {
                                              chunk.end());
                            });
   EXPECT_EQ(streamed, keys);
+}
+
+// Every attachment subset of every parent class on at most 7 vertices,
+// in its canonical labels and in one seeded relabeling (the generator's
+// parents carry construction-path labels): the O(1) pre-filter, the
+// acceptance verdict, the key and the generators handed to the children
+// must all equal the reference built from canonical_form.
+void expect_decisions_match_reference(const enumeration_options& options) {
+  rng random = testing::seeded_rng();
+  automorphism_generators workspace;
+  std::uint64_t candidates = 0;
+  std::uint64_t prefiltered = 0;
+  std::uint64_t accepted = 0;
+  for (int k = 0; k <= 7; ++k) {
+    for (const graph& canonical_parent : all_graphs(k, options)) {
+      std::vector<int> perm(static_cast<std::size_t>(k));
+      std::iota(perm.begin(), perm.end(), 0);
+      random.shuffle(std::span<int>(perm));
+      for (const graph& parent :
+           {canonical_parent, canonical_parent.permuted(perm)}) {
+        const attachment_degree_filter degree_filter(parent);
+        const std::vector<std::uint64_t> comps = components(parent);
+        for (std::uint64_t subset = 0; subset < (std::uint64_t{1} << k);
+             ++subset) {
+          if (options.forests_only &&
+              std::any_of(comps.begin(), comps.end(), [&](std::uint64_t c) {
+                return popcount(subset & c) > 1;
+              })) {
+            continue;
+          }
+          const testing::augmentation_verdict reference =
+              testing::reference_augmentation(parent, subset);
+          graph child = parent.with_vertex();
+          child.set_neighbors(k, subset);
+          const std::optional<std::uint64_t> key =
+              canonical_deletion_key(child, workspace);
+
+          ASSERT_EQ(degree_filter.above_minimum(subset),
+                    reference.above_minimum)
+              << to_string(parent) << " subset " << subset;
+          ASSERT_EQ(key.has_value(), reference.accepted)
+              << to_string(parent) << " subset " << subset;
+          // The pre-filter is sound: it never rejects a child that the
+          // full acceptance test would take.
+          ASSERT_FALSE(reference.above_minimum && reference.accepted);
+          if (key) {
+            ASSERT_EQ(*key, reference.key);
+            ASSERT_EQ(workspace, canonical_form(child).generators);
+          }
+          ++candidates;
+          if (reference.above_minimum) ++prefiltered;
+          if (reference.accepted) ++accepted;
+        }
+      }
+    }
+  }
+  // Both verdicts of both tests are exercised, not just one of each.
+  EXPECT_GT(prefiltered, 0U);
+  EXPECT_GT(accepted, 0U);
+  EXPECT_GT(candidates - prefiltered - accepted, 0U);
+}
+
+TEST(OrderlyDecisionTest, AllGraphsMatchReference) {
+  expect_decisions_match_reference({.connected_only = false});
+}
+
+TEST(OrderlyDecisionTest, ForestsMatchReference) {
+  expect_decisions_match_reference(
+      {.connected_only = false, .forests_only = true});
+}
+
+// FNV-1a over the little-endian bytes of the keys, in order.
+std::uint64_t key_digest(const std::vector<std::uint64_t>& keys) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::uint64_t key : keys) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (key >> (8 * b)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(OrderlyEnumTest, Order9ConstructionPathsArePinned) {
+  // Pinned from the generator before the O(1) pre-filter and last-cell
+  // rejection: a change of construction path moves these counters even
+  // when the key set stays the same.
+  const char* const names[] = {obs::names::orderly_candidates,
+                               obs::names::orderly_prefilter_rejects,
+                               obs::names::orderly_orbit_rejects,
+                               obs::names::orderly_accepts};
+  const std::uint64_t expected[] = {2293635, 1838077, 167292, 288266};
+  std::uint64_t before[4];
+  for (int i = 0; i < 4; ++i) before[i] = obs::get_counter(names[i]).value();
+  EXPECT_EQ(count_graphs(9, {.threads = 1}), 261080U);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(obs::get_counter(names[i]).value() - before[i], expected[i])
+        << names[i];
+  }
+  const std::vector<std::uint64_t> keys =
+      all_graph_keys(9, {.connected_only = true});
+  EXPECT_EQ(key_digest(keys), 0x099a78bb96455ba3ULL);
 }
 
 }  // namespace

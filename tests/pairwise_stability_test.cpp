@@ -77,7 +77,7 @@ TEST(PairwiseStabilityTest, Lemma4UniquenessBelowOne) {
 }
 
 TEST(PairwiseStabilityTest, Lemma5StarStableButNotUnique) {
-  // Star: stable for every alpha > 1 (window (1, inf]).
+  // Star: stable for every alpha >= 1 (window [1, inf)).
   const alpha_interval window = compute_stability_record(star(8));
   EXPECT_EQ(window.lo, rational::from_int(1));
   EXPECT_EQ(window.hi, rational::infinity());
@@ -85,7 +85,7 @@ TEST(PairwiseStabilityTest, Lemma5StarStableButNotUnique) {
   EXPECT_TRUE(is_pairwise_stable(star(8), 1000.0));
   EXPECT_FALSE(is_pairwise_stable(star(8), 0.5));
 
-  // Not unique: at alpha = 3, C6 (window (2,6]) is also stable.
+  // Not unique: at alpha = 3, C6 (window [2, 6]) is also stable.
   EXPECT_TRUE(is_pairwise_stable(star(6), 3.0));
   EXPECT_TRUE(is_pairwise_stable(cycle(6), 3.0));
 }

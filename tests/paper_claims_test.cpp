@@ -158,7 +158,7 @@ TEST(PaperClaimsTest, Proposition3FamilyHasGrowingPoAWithLogAlpha) {
 }
 
 TEST(PaperClaimsTest, Footnote7PetersenNashAndStable) {
-  // Petersen: UCG-Nash for 1 <= alpha <= 4; BCG-stable for (1, 5].
+  // Petersen: UCG-Nash for 1 <= alpha <= 4; BCG-stable for [1, 5].
   for (const double alpha : {1.0, 2.5, 4.0}) {
     EXPECT_TRUE(is_ucg_nash(petersen(), alpha));
   }

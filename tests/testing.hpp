@@ -15,7 +15,9 @@
 #include "equilibria/pairwise_stability.hpp"
 #include "gen/named.hpp"
 #include "gen/random.hpp"
+#include "graph/canonical.hpp"
 #include "graph/graph.hpp"
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 
 namespace bnf::testing {
@@ -124,6 +126,42 @@ inline alpha_interval two_pass_stability_record(const graph& g) {
     window.hi_closed = false;
   }
   return window;
+}
+
+/// The orderly generator's per-candidate decisions, as the generator
+/// first made them.
+struct augmentation_verdict {
+  bool above_minimum{false};  // the degree pre-filter rejects
+  bool accepted{false};       // k shares the canonical deletion orbit
+  std::uint64_t key{0};       // canonical key when accepted, else 0
+};
+
+/// The independent reference for attachment_degree_filter and
+/// canonical_deletion_key: write the new vertex k's row, loop over the
+/// child's degrees, run the full canonical_form and compare orbits. The
+/// acceptance fields are filled for every subset, even one the pre-filter
+/// rejects. Requires subset within parent.vertex_mask() and a child order
+/// of at most 11.
+inline augmentation_verdict reference_augmentation(const graph& parent,
+                                                   std::uint64_t subset) {
+  const int k = parent.order();
+  graph child = parent.with_vertex();
+  for_each_bit(subset, [&](int w) { child.add_edge(k, w); });
+
+  augmentation_verdict verdict;
+  const int new_degree = popcount(subset);
+  for (int u = 0; u < k; ++u) {
+    if (popcount(child.neighbors(u)) < new_degree) {
+      verdict.above_minimum = true;
+      break;
+    }
+  }
+  const canon_result canon = canonical_form(child);
+  const int deletion = canon.labeling[static_cast<std::size_t>(k)];
+  verdict.accepted = canon.orbits[static_cast<std::size_t>(k)] ==
+                     canon.orbits[static_cast<std::size_t>(deletion)];
+  if (verdict.accepted) verdict.key = canon.canonical.key64();
+  return verdict;
 }
 
 }  // namespace bnf::testing
