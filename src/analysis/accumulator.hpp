@@ -1,17 +1,15 @@
-// The one equilibrium-set aggregator shared by every census-style sweep:
-// the grid census (census_sweep), the materialized curve evaluator
-// (evaluate_poa_curve), and the streaming breakpoint engine
-// (stream_poa_curve) all fold their contributions through this type, so
-// the three pipelines can never drift — including the count == 0 edge
-// cases, where averages and the price of stability report as 0 while
-// max_poa stays at its empty default.
+// The one equilibrium-set aggregator: evaluate_census (analysis/census.hpp)
+// folds every profile it counts through this type, for the grid sweep and
+// the breakpoint curve alike, including the count == 0 edge cases, where
+// averages and the price of stability report as 0 while max_poa stays at
+// its empty default.
 //
 // Exactness/determinism contract: link counts and distance totals are
 // summed as INTEGERS and the PoA extremes tracked with min/max (which are
 // exactly associative, commutative and idempotent over doubles), so the
-// aggregate is byte-identical no matter how topologies are sharded across
-// threads, in which order shards merge, or whether m topologies with one
-// profile arrive as m single adds or as one weighted add. The only
+// aggregate is byte-identical no matter in which order the profiles
+// arrive, or whether m topologies with one profile arrive as m adds of
+// multiplicity 1 or as one add of multiplicity m. The only
 // floating-point arithmetic happens once, in stats(), from the exact
 // integer sums.
 #pragma once
@@ -33,9 +31,9 @@ struct equilibrium_set_stats {
   double avg_edges{0.0};
 };
 
-/// Shard-mergeable exact accumulator. `add` takes the topology's PoA at
-/// the evaluation point (social / opt, computed by the caller with the
-/// shared expression) plus its integer link count and distance total.
+/// Exact accumulator. `add` takes a profile's PoA at the evaluation point
+/// (social / opt, computed by the caller) plus its integer link count and
+/// distance total.
 struct equilibrium_accumulator {
   long long count{0};
   long long edge_sum{0};
@@ -43,16 +41,8 @@ struct equilibrium_accumulator {
   double poa_max{0.0};
   double poa_min{std::numeric_limits<double>::infinity()};
 
-  void add(double poa, int edges, long long distance_total) {
-    ++count;
-    edge_sum += edges;
-    distance_sum += distance_total;
-    poa_max = std::max(poa_max, poa);
-    poa_min = std::min(poa_min, poa);
-  }
-
   /// `multiplicity` topologies sharing one profile: bit-identical to that
-  /// many single adds (a zero multiplicity leaves the accumulator as is).
+  /// many adds of multiplicity 1 (zero leaves the accumulator as is).
   /// The sums use checked arithmetic, so an overflow throws.
   void add(double poa, int edges, long long distance_total,
            long long multiplicity) {
@@ -65,14 +55,6 @@ struct equilibrium_accumulator {
         checked_add(distance_sum, checked_mul(distance_total, multiplicity));
     poa_max = std::max(poa_max, poa);
     poa_min = std::min(poa_min, poa);
-  }
-
-  void merge(const equilibrium_accumulator& other) {
-    count += other.count;
-    edge_sum += other.edge_sum;
-    distance_sum += other.distance_sum;
-    poa_max = std::max(poa_max, other.poa_max);
-    poa_min = std::min(poa_min, other.poa_min);
   }
 
   /// Final statistics at one link cost. `edge_social_cost` is the TOTAL

@@ -13,80 +13,72 @@
 
 namespace bnf {
 
+std::vector<census_point> evaluate_census(int n,
+                                          std::span<const profile_bin> bins,
+                                          std::span<const rational> taus) {
+  std::vector<census_point> points;
+  points.reserve(taus.size());
+  for (const rational& tau : taus) {
+    expects(!tau.is_infinite() && tau.num > 0,
+            "evaluate_census: requires finite tau > 0");
+    const rational alpha_bcg =
+        rational::make(tau.num, checked_mul(2, tau.den));
+    census_point point;
+    point.tau = tau.to_double();
+    point.alpha_bcg = alpha_bcg.to_double();
+    point.alpha_ucg = point.tau;
+    const double opt_bcg = optimal_social_cost(
+        connection_game{n, point.alpha_bcg, link_rule::bilateral});
+    const double opt_ucg = optimal_social_cost(
+        connection_game{n, point.alpha_ucg, link_rule::unilateral});
+    equilibrium_accumulator bcg;
+    equilibrium_accumulator ucg;
+    for (const profile_bin& bin : bins) {
+      // Both games pay tau per link in total (2 * alpha_BCG == alpha_UCG).
+      const double social =
+          point.tau * bin.edges + static_cast<double>(bin.distance_total);
+      if (bin.bcg_interval.contains(alpha_bcg)) {
+        bcg.add(social / opt_bcg, bin.edges, bin.distance_total,
+                bin.multiplicity);
+      }
+      if (bin.ucg.contains(tau)) {
+        ucg.add(social / opt_ucg, bin.edges, bin.distance_total,
+                bin.multiplicity);
+      }
+    }
+    point.bcg = bcg.stats(point.tau, opt_bcg);
+    point.ucg = ucg.stats(point.tau, opt_ucg);
+    points.push_back(point);
+  }
+  return points;
+}
+
 std::vector<census_point> census_sweep(int n, std::span<const double> taus,
                                        const census_options& options) {
   expects(n >= 2 && n <= max_enumeration_order,
           "census_sweep: requires 2 <= n <= " +
               std::to_string(max_enumeration_order));
+  std::vector<rational> exact_taus;
+  exact_taus.reserve(taus.size());
   for (const double tau : taus) {
     expects(tau > 0, "census_sweep: total edge costs must be positive");
-  }
-
-  // Precompute the optimal social cost per grid point and game, plus the
-  // exact rational value of each grid alpha (membership tests below are
-  // then cheap exact cross-multiplications instead of per-test double
-  // decompositions).
-  const std::size_t grid = taus.size();
-  std::vector<double> opt_bcg(grid);
-  std::vector<double> opt_ucg(grid);
-  std::vector<rational> alpha_bcg_exact(grid);
-  std::vector<rational> alpha_ucg_exact(grid);
-  for (std::size_t t = 0; t < grid; ++t) {
-    opt_bcg[t] = optimal_social_cost(
-        connection_game{n, taus[t] / 2.0, link_rule::bilateral});
-    opt_ucg[t] = optimal_social_cost(
-        connection_game{n, taus[t], link_rule::unilateral});
-    alpha_bcg_exact[t] = exact_rational(taus[t] / 2.0);
-    alpha_ucg_exact[t] = exact_rational(taus[t]);
+    exact_taus.push_back(exact_rational(tau));
   }
   // The sweep only ever queries the UCG region at the grid points, so the
   // region search can be clamped to the grid's hull: topologies whose
   // Nash window misses the grid entirely cost one root-window test.
   alpha_interval ucg_clamp = alpha_interval::empty_interval();
-  if (grid > 0) {
-    ucg_clamp = {*std::min_element(alpha_ucg_exact.begin(),
-                                   alpha_ucg_exact.end()),
-                 *std::max_element(alpha_ucg_exact.begin(),
-                                   alpha_ucg_exact.end()),
-                 true, true};
+  if (!exact_taus.empty()) {
+    const auto [lo, hi] =
+        std::minmax_element(exact_taus.begin(), exact_taus.end());
+    ucg_clamp = {*lo, *hi, true, true};
   }
-
-  // ONE stability analysis per topology, folded into the shared profile
-  // histogram; the grid loop below is pure exact interval membership over
-  // the distinct profiles, so the sweep's cost does not depend on how fine
-  // the tau grid is.
   const profile_histogram histogram = build_profile_histogram(
       n, {.include_ucg = options.include_ucg,
           .ucg_clamp = ucg_clamp,
           .threads = options.threads,
           .shard_span = "census.shard"});
-
-  std::vector<census_point> points(grid);
-  for (std::size_t t = 0; t < grid; ++t) {
-    const double alpha_bcg = taus[t] / 2.0;
-    const double alpha_ucg = taus[t];
-    equilibrium_accumulator bcg;
-    equilibrium_accumulator ucg;
-    for (const profile_bin& bin : histogram.bins) {
-      const double dist = static_cast<double>(bin.distance_total);
-      if (bin.bcg_interval.contains(alpha_bcg_exact[t])) {
-        const double social = 2.0 * alpha_bcg * bin.edges + dist;
-        bcg.add(social / opt_bcg[t], bin.edges, bin.distance_total,
-                bin.multiplicity);
-      }
-      if (bin.ucg.contains(alpha_ucg_exact[t])) {
-        const double social = alpha_ucg * bin.edges + dist;
-        ucg.add(social / opt_ucg[t], bin.edges, bin.distance_total,
-                bin.multiplicity);
-      }
-    }
-    points[t].tau = taus[t];
-    points[t].alpha_bcg = alpha_bcg;
-    points[t].alpha_ucg = alpha_ucg;
-    points[t].bcg = bcg.stats(taus[t], opt_bcg[t]);
-    points[t].ucg = ucg.stats(taus[t], opt_ucg[t]);
-  }
-  return points;
+  return evaluate_census(n, histogram.bins, exact_taus);
 }
 
 std::vector<census_graph_record> build_census_records(

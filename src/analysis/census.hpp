@@ -1,6 +1,6 @@
 // The exhaustive equilibrium census behind the paper's empirical Section 5
 // (Figures 2 and 3): enumerate every connected topology on n vertices up
-// to isomorphism, decide for each link cost on a grid which topologies are
+// to isomorphism, decide for each link cost which topologies are
 // equilibria — pairwise stable in the BCG, Nash-supportable in the UCG —
 // and aggregate the average/worst price of anarchy and average link count
 // over each equilibrium set.
@@ -11,28 +11,29 @@
 //
 // Every player cost in both games is linear in alpha, so each topology's
 // equilibrium region is an exact rational interval (certificates from
-// equilibria/alpha_interval.hpp). The census therefore runs ONE stability
-// analysis per topology — compute_stability_record for the BCG,
-// ucg_nash_alpha_region for the UCG — and folds the result into the
-// profile histogram of analysis/topology_profile.hpp, one pass over the
-// orderly generator. Every grid point is then a pure interval-membership
-// evaluation of the distinct profiles, weighted by their
-// multiplicities: the sweep's cost is independent of the grid resolution,
-// its memory of the census size, and no per-grid-point Nash search (and
-// no epsilon slack) is involved. analysis/poa_curve.hpp evaluates the same
-// histogram at exact breakpoints instead of a grid.
+// equilibria/alpha_interval.hpp). A census therefore runs ONE stability
+// analysis per topology and folds the result into the profile histogram
+// of analysis/topology_profile.hpp. evaluate_census is the one place that
+// turns a histogram into statistics: exact interval membership of each
+// distinct profile at exact rational taus, weighted by multiplicity. The
+// grid sweep (census_sweep, Figures 2/3 and the price of stability) and
+// the breakpoint curve (analysis/poa_curve.hpp) differ only in the taus
+// they ask for, so no per-grid-point Nash search (and no epsilon slack)
+// is involved and the cost does not depend on the grid resolution.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "analysis/accumulator.hpp"
+#include "analysis/topology_profile.hpp"
 #include "equilibria/alpha_interval.hpp"
 #include "graph/graph.hpp"
+#include "util/rational.hpp"
 
 namespace bnf {
 
-/// One grid point of the census sweep.
+/// The census statistics at one total edge cost.
 struct census_point {
   double tau{0.0};        // total per-edge cost
   double alpha_bcg{0.0};  // tau / 2
@@ -46,7 +47,18 @@ struct census_options {
   int threads{0};  // 0 = hardware concurrency
 };
 
-/// Run the full census at every total-edge-cost in `taus`.
+/// Both games' equilibrium statistics at every total edge cost in `taus`
+/// (any order, repeats allowed; point i answers taus[i]) from a profile
+/// histogram's bins. A bin counts, with its multiplicity, wherever its BCG
+/// interval contains tau / 2 or its UCG region contains tau; its PoA there
+/// is (tau * edges + distance_total) / optimal_social_cost. Every tau must
+/// be finite and positive.
+[[nodiscard]] std::vector<census_point> evaluate_census(
+    int n, std::span<const profile_bin> bins, std::span<const rational> taus);
+
+/// Run the full census at every total-edge-cost in `taus`: the profile
+/// histogram, with the UCG search clamped to the grid's hull, evaluated
+/// by evaluate_census at the exact value of each double.
 /// Requires 2 <= n <= max_enumeration_order (n=8 takes seconds; n=10,
 /// the paper's setting, walks 11.7M topologies in minutes, holding only
 /// the profile histogram). Performs one exact stability analysis per
@@ -58,9 +70,9 @@ struct census_options {
 /// Per-topology census record for small n (<= 8): everything needed to
 /// re-derive both games' equilibrium sets at ANY link cost — grid point
 /// or exact rational breakpoint — without touching the graph again.
-/// Larger n (up to 10, the paper's setting) goes through the profile
-/// histogram, which aggregates the same profiles without materializing
-/// per-topology records; these records stay as its small-n oracle.
+/// Every census pipeline goes through the profile histogram, which
+/// aggregates the same profiles without materializing per-topology
+/// records; these records stay as its independent small-n oracle.
 struct census_graph_record {
   std::uint64_t key{0};  // canonical key (order implied by the census)
   int edges{0};

@@ -35,18 +35,13 @@ namespace bnf {
 /// tau at which an equilibrium set changes, tagged with the game(s)
 /// shifting there. The exact column is pure integer formatting, which
 /// makes this table the golden-file anchor for the CI breakpoint diffs.
-/// The summary overload renders the streaming engine's output; the
-/// poa_curve overload summarizes the materialized records first — both
-/// produce identical bytes for the same n.
 [[nodiscard]] text_table poa_breakpoints_table(const poa_curve_summary& curve);
-[[nodiscard]] text_table poa_breakpoints_table(const poa_curve& curve);
 
 /// The full piecewise census: alternating open segments (evaluated at an
 /// exact interior probe) and breakpoint rows (evaluated exactly ON the
 /// threshold), with both games' equilibrium count, avg/max PoA, price of
 /// stability, and average link count.
 [[nodiscard]] text_table poa_curve_table(const poa_curve_summary& curve);
-[[nodiscard]] text_table poa_curve_table(const poa_curve& curve);
 
 /// Write any table as CSV to `path` (truncates). Throws precondition_error
 /// on I/O failure with the OS errno text in the message.

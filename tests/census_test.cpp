@@ -4,6 +4,10 @@
 
 #include <array>
 #include <cmath>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/sweep.hpp"
 #include "equilibria/pairwise_stability.hpp"
@@ -11,6 +15,7 @@
 #include "game/efficiency.hpp"
 #include "gen/enumerate.hpp"
 #include "gen/named.hpp"
+#include "testing.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
@@ -188,6 +193,44 @@ TEST(CensusTest, ThreadCountsAgree) {
   }
 }
 
+TEST(CensusTest, ShuffledAndRepeatedTausKeepInputOrder) {
+  // The grid in a seeded random order, every third point asked twice: each
+  // answer must be the sorted call's answer for the same tau, bit for bit.
+  const std::vector<double> sorted = default_tau_grid(6);
+  std::vector<int> order;
+  for (int i = 0; i < static_cast<int>(sorted.size()); ++i) {
+    order.push_back(i);
+    if (i % 3 == 0) order.push_back(i);
+  }
+  rng random = testing::seeded_rng();
+  random.shuffle(std::span<int>(order));
+  std::vector<double> shuffled;
+  for (const int i : order) {
+    shuffled.push_back(sorted[static_cast<std::size_t>(i)]);
+  }
+
+  const auto expected = census_sweep(6, sorted);
+  const auto points = census_sweep(6, shuffled);
+  ASSERT_EQ(points.size(), shuffled.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const census_point& want = expected[static_cast<std::size_t>(order[k])];
+    const census_point& got = points[k];
+    const std::string where = "k=" + std::to_string(k);
+    EXPECT_EQ(got.tau, shuffled[k]) << where;
+    EXPECT_EQ(got.alpha_bcg, want.alpha_bcg) << where;
+    for (const auto& [a, b] : {std::pair{got.bcg, want.bcg},
+                               std::pair{got.ucg, want.ucg}}) {
+      EXPECT_EQ(a.count, b.count) << where;
+      // Bitwise-exact double equality, no tolerance.
+      EXPECT_EQ(a.avg_poa, b.avg_poa) << where;
+      EXPECT_EQ(a.max_poa, b.max_poa) << where;
+      EXPECT_EQ(a.min_poa, b.min_poa) << where;
+      EXPECT_EQ(a.avg_edges, b.avg_edges) << where;
+    }
+  }
+  EXPECT_TRUE(census_sweep(6, std::span<const double>{}).empty());
+}
+
 TEST(CensusTest, Preconditions) {
   const std::array<double, 1> taus{1.0};
   EXPECT_THROW((void)census_sweep(1, taus), precondition_error);
@@ -195,6 +238,8 @@ TEST(CensusTest, Preconditions) {
                precondition_error);
   const std::array<double, 1> bad{-1.0};
   EXPECT_THROW((void)census_sweep(5, bad), precondition_error);
+  const std::array<double, 1> zero{0.0};
+  EXPECT_THROW((void)census_sweep(5, zero), precondition_error);
   EXPECT_THROW((void)build_census_records(9), precondition_error);
 }
 

@@ -1,19 +1,21 @@
-// Streaming-vs-materialized equivalence: the histogram-backed streaming
-// breakpoint engine must reproduce the record path BYTE for byte — same
-// exact breakpoints, same doubles in every row statistic — for every n the
-// record path covers, and across thread counts. The shared exact
-// accumulator makes this equality structural, and these tests keep it
-// that way.
+// The streaming breakpoint engine against the per-record reference: every
+// row must equal testing::reference_census_point — a record-by-record scan
+// of build_census_records with no profile binning — BYTE for byte, the
+// breakpoints must be exactly the records' thresholds, and none of it may
+// depend on the thread count.
 #include "analysis/poa_curve.hpp"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/report.hpp"
 #include "gen/enumerate.hpp"
+#include "testing.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
@@ -24,7 +26,7 @@ void expect_identical_stats(const equilibrium_set_stats& a,
                             const std::string& where) {
   EXPECT_EQ(a.count, b.count) << where;
   // EXPECT_EQ on doubles is bitwise-exact equality (no tolerance): the
-  // two pipelines must agree to the last ulp, not approximately.
+  // two evaluations must agree to the last ulp, not approximately.
   EXPECT_EQ(a.avg_poa, b.avg_poa) << where;
   EXPECT_EQ(a.max_poa, b.max_poa) << where;
   EXPECT_EQ(a.min_poa, b.min_poa) << where;
@@ -47,6 +49,8 @@ void expect_identical_summaries(const poa_curve_summary& a,
     EXPECT_EQ(a.rows[r].tau, b.rows[r].tau) << where;
     EXPECT_EQ(a.rows[r].on_breakpoint, b.rows[r].on_breakpoint) << where;
     EXPECT_EQ(a.rows[r].point.tau, b.rows[r].point.tau) << where;
+    EXPECT_EQ(a.rows[r].point.alpha_bcg, b.rows[r].point.alpha_bcg) << where;
+    EXPECT_EQ(a.rows[r].point.alpha_ucg, b.rows[r].point.alpha_ucg) << where;
     expect_identical_stats(a.rows[r].point.bcg, b.rows[r].point.bcg,
                            where + " bcg");
     expect_identical_stats(a.rows[r].point.ucg, b.rows[r].point.ucg,
@@ -54,17 +58,71 @@ void expect_identical_summaries(const poa_curve_summary& a,
   }
 }
 
-TEST(PoaStreamTest, MatchesMaterializedPathByteForByteUpToN7) {
+// The records' thresholds in tau units, merged by value: BCG endpoints
+// doubled, UCG endpoints as they are, zero and infinity dropped.
+std::map<rational, std::pair<bool, bool>> record_thresholds(
+    const std::vector<census_graph_record>& records) {
+  std::map<rational, std::pair<bool, bool>> thresholds;
+  const auto note = [&](const rational& tau, bool bcg) {
+    if (tau.is_infinite() || tau.num <= 0) return;
+    auto& games = thresholds[tau];
+    (bcg ? games.first : games.second) = true;
+  };
+  for (const census_graph_record& record : records) {
+    const alpha_interval& bcg = record.bcg_interval;
+    if (!bcg.empty()) {
+      for (const rational& end : {bcg.lo, bcg.hi}) {
+        note(end.is_infinite() ? end : rational::make(2 * end.num, end.den),
+             true);
+      }
+    }
+    for (const alpha_interval& part : record.ucg.parts()) {
+      note(part.lo, false);
+      note(part.hi, false);
+    }
+  }
+  return thresholds;
+}
+
+// The streamed summary with every row re-evaluated by the reference.
+poa_curve_summary with_reference_rows(
+    poa_curve_summary curve, const std::vector<census_graph_record>& records) {
+  for (poa_curve_row& row : curve.rows) {
+    row.point = testing::reference_census_point(curve.n, records, row.tau);
+  }
+  return curve;
+}
+
+TEST(PoaStreamTest, MatchesPerRecordReferenceOnEveryRowUpToN7) {
   for (int n = 3; n <= 7; ++n) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    const poa_curve_summary materialized =
-        summarize_poa_curve(build_poa_curve(n));
-    const poa_curve_summary streamed = stream_poa_curve(n);
-    // Far fewer distinct profiles than topologies is the point of the
-    // histogram; zero would mean nothing was profiled.
-    EXPECT_GT(streamed.distinct_profiles, 0U);
-    EXPECT_LE(streamed.distinct_profiles, streamed.topologies);
-    expect_identical_summaries(materialized, streamed);
+    for (const bool include_ucg : {true, false}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " ucg=" + std::to_string(include_ucg));
+      const std::vector<census_graph_record> records =
+          build_census_records(n, {.include_ucg = include_ucg});
+      const poa_curve_summary streamed =
+          stream_poa_curve(n, {.include_ucg = include_ucg});
+      EXPECT_EQ(streamed.topologies, records.size());
+      // Far fewer distinct profiles than topologies is the point of the
+      // histogram; zero would mean nothing was profiled.
+      EXPECT_GT(streamed.distinct_profiles, 0U);
+      EXPECT_LE(streamed.distinct_profiles, streamed.topologies);
+
+      const auto thresholds = record_thresholds(records);
+      ASSERT_EQ(streamed.breakpoints.size(), thresholds.size());
+      std::size_t i = 0;
+      for (const auto& [tau, games] : thresholds) {
+        EXPECT_EQ(streamed.breakpoints[i].tau, tau) << i;
+        EXPECT_EQ(streamed.breakpoints[i].from_bcg, games.first) << i;
+        EXPECT_EQ(streamed.breakpoints[i].from_ucg, games.second) << i;
+        if (!include_ucg) {
+          EXPECT_FALSE(streamed.breakpoints[i].from_ucg) << i;
+        }
+        ++i;
+      }
+      expect_identical_summaries(with_reference_rows(streamed, records),
+                                 streamed);
+    }
   }
 }
 
@@ -100,31 +158,21 @@ TEST(PoaStreamTest, RenderedTablesAreIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(PoaStreamTest, RenderedTablesAreIdentical) {
+TEST(PoaStreamTest, RenderedTablesMatchTheReference) {
   // The scenario-level guarantee: the tables (and hence the CSV golden
-  // files) cannot tell the engines apart.
+  // files) cannot tell the engine from a per-record evaluation.
   const auto csv_of = [](const text_table& table) {
     std::ostringstream out;
     table.to_csv(out);
     return out.str();
   };
-  const poa_curve curve = build_poa_curve(6);
   const poa_curve_summary streamed = stream_poa_curve(6);
-  EXPECT_EQ(csv_of(poa_breakpoints_table(curve)),
+  const poa_curve_summary reference =
+      with_reference_rows(streamed, build_census_records(6));
+  EXPECT_EQ(csv_of(poa_breakpoints_table(reference)),
             csv_of(poa_breakpoints_table(streamed)));
-  EXPECT_EQ(csv_of(poa_curve_table(curve)), csv_of(poa_curve_table(streamed)));
-}
-
-TEST(PoaStreamTest, BcgOnlyCurveMatchesMaterialized) {
-  const poa_curve_summary materialized =
-      summarize_poa_curve(build_poa_curve(6, {.include_ucg = false}));
-  const poa_curve_summary streamed =
-      stream_poa_curve(6, {.include_ucg = false});
-  expect_identical_summaries(materialized, streamed);
-  for (const poa_breakpoint& entry : streamed.breakpoints) {
-    EXPECT_TRUE(entry.from_bcg);
-    EXPECT_FALSE(entry.from_ucg);
-  }
+  EXPECT_EQ(csv_of(poa_curve_table(reference)),
+            csv_of(poa_curve_table(streamed)));
 }
 
 TEST(PoaStreamTest, RowsInterleaveSegmentsAndBreakpoints) {
@@ -142,7 +190,7 @@ TEST(PoaStreamTest, RowsInterleaveSegmentsAndBreakpoints) {
 }
 
 TEST(PoaStreamTest, StreamCoversN9BeyondTheRecordGuard) {
-  // The record path is capped at n <= 8; the streaming engine must keep
+  // The records are capped at n <= 8; the streaming engine must keep
   // going. n=9 profiles 261080 topologies — a few seconds — and its
   // breakpoint list must contain the n=8 thresholds' general pattern:
   // strictly increasing, all finite and positive.

@@ -1,9 +1,10 @@
 // The profile histogram behind every census pipeline: the weighted
-// accumulator fold must equal repeated single adds bit for bit, the
+// accumulator fold must equal repeated unit adds bit for bit, the
 // multiplicities must account for every connected topology, the bins must
-// be exactly the record path grouped by profile, and neither the histogram
-// nor the fig2/fig3 tables rendered from it may depend on the thread
-// count.
+// be exactly the census records grouped by profile, the grid sweep must
+// equal a record-by-record evaluation bit for bit, and neither the
+// histogram nor the fig2/fig3 tables rendered from it may depend on the
+// thread count.
 #include "analysis/topology_profile.hpp"
 
 #include <gtest/gtest.h>
@@ -16,10 +17,10 @@
 
 #include "analysis/accumulator.hpp"
 #include "analysis/census.hpp"
-#include "analysis/poa_curve.hpp"
 #include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "gen/enumerate.hpp"
+#include "testing.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
@@ -35,16 +36,16 @@ void expect_same_accumulator(const equilibrium_accumulator& a,
   EXPECT_EQ(a.poa_min, b.poa_min);
 }
 
-TEST(ProfileHistogramTest, WeightedAddEqualsRepeatedSingleAdds) {
+TEST(ProfileHistogramTest, WeightedAddEqualsRepeatedUnitAdds) {
   // Start from a non-empty accumulator so the fold has to combine, not
   // just initialize.
   for (const long long multiplicity : {0LL, 1LL, 2LL, 7LL, 1000LL}) {
     SCOPED_TRACE("multiplicity=" + std::to_string(multiplicity));
     equilibrium_accumulator singles;
     equilibrium_accumulator weighted;
-    singles.add(1.25, 4, 30);
-    weighted.add(1.25, 4, 30);
-    for (long long i = 0; i < multiplicity; ++i) singles.add(1.75, 9, 104);
+    singles.add(1.25, 4, 30, 1);
+    weighted.add(1.25, 4, 30, 1);
+    for (long long i = 0; i < multiplicity; ++i) singles.add(1.75, 9, 104, 1);
     weighted.add(1.75, 9, 104, multiplicity);
     expect_same_accumulator(singles, weighted);
   }
@@ -165,26 +166,60 @@ std::string csv_of(const text_table& table) {
   return out.str();
 }
 
-// The grid census evaluated per topology from the records (the per-topology
-// accumulation the sweep used before it evaluated the histogram).
+void expect_identical_stats(const equilibrium_set_stats& a,
+                            const equilibrium_set_stats& b,
+                            const std::string& where) {
+  EXPECT_EQ(a.count, b.count) << where;
+  // Bitwise-exact double equality, no tolerance.
+  EXPECT_EQ(a.avg_poa, b.avg_poa) << where;
+  EXPECT_EQ(a.max_poa, b.max_poa) << where;
+  EXPECT_EQ(a.min_poa, b.min_poa) << where;
+  EXPECT_EQ(a.avg_edges, b.avg_edges) << where;
+}
+
+void expect_identical_points(const census_point& a, const census_point& b,
+                             const std::string& where) {
+  EXPECT_EQ(a.tau, b.tau) << where;
+  EXPECT_EQ(a.alpha_bcg, b.alpha_bcg) << where;
+  EXPECT_EQ(a.alpha_ucg, b.alpha_ucg) << where;
+  expect_identical_stats(a.bcg, b.bcg, where + " bcg");
+  expect_identical_stats(a.ucg, b.ucg, where + " ucg");
+}
+
+// The grid census evaluated record by record, with no binning.
 std::vector<census_point> sweep_from_records(int n,
-                                             const std::vector<double>& taus) {
-  const poa_curve curve = build_poa_curve(n);
+                                             const std::vector<double>& taus,
+                                             bool include_ucg) {
+  const std::vector<census_graph_record> records =
+      build_census_records(n, {.include_ucg = include_ucg});
   std::vector<census_point> points;
-  for (const double tau : taus) points.push_back(evaluate_poa_curve(curve, tau));
+  for (const double tau : taus) {
+    points.push_back(
+        testing::reference_census_point(n, records, exact_rational(tau)));
+  }
   return points;
 }
 
-TEST(ProfileHistogramTest, FigureTablesMatchPerTopologyEvaluation) {
-  for (int n = 5; n <= 7; ++n) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    const std::vector<double> taus = default_tau_grid(n);
-    const std::vector<census_point> reference = sweep_from_records(n, taus);
-    const std::vector<census_point> swept = census_sweep(n, taus);
-    EXPECT_EQ(csv_of(figure2_table(swept)), csv_of(figure2_table(reference)));
-    EXPECT_EQ(csv_of(figure3_table(swept)), csv_of(figure3_table(reference)));
-    EXPECT_EQ(csv_of(price_of_stability_table(swept)),
-              csv_of(price_of_stability_table(reference)));
+TEST(ProfileHistogramTest, SweepMatchesPerRecordEvaluation) {
+  for (int n = 3; n <= 7; ++n) {
+    for (const bool include_ucg : {true, false}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " ucg=" + std::to_string(include_ucg));
+      const std::vector<double> taus = default_tau_grid(n);
+      const std::vector<census_point> reference =
+          sweep_from_records(n, taus, include_ucg);
+      const std::vector<census_point> swept =
+          census_sweep(n, taus, {.include_ucg = include_ucg});
+      ASSERT_EQ(swept.size(), reference.size());
+      for (std::size_t t = 0; t < taus.size(); ++t) {
+        expect_identical_points(swept[t], reference[t],
+                                "tau=" + std::to_string(taus[t]));
+      }
+      EXPECT_EQ(csv_of(figure2_table(swept)), csv_of(figure2_table(reference)));
+      EXPECT_EQ(csv_of(figure3_table(swept)), csv_of(figure3_table(reference)));
+      EXPECT_EQ(csv_of(price_of_stability_table(swept)),
+                csv_of(price_of_stability_table(reference)));
+    }
   }
 }
 

@@ -12,12 +12,17 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/accumulator.hpp"
+#include "analysis/census.hpp"
 #include "equilibria/pairwise_stability.hpp"
+#include "game/connection_game.hpp"
+#include "game/efficiency.hpp"
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "graph/canonical.hpp"
 #include "graph/graph.hpp"
 #include "util/bitops.hpp"
+#include "util/rational.hpp"
 #include "util/rng.hpp"
 
 namespace bnf::testing {
@@ -162,6 +167,39 @@ inline augmentation_verdict reference_augmentation(const graph& parent,
                      canon.orbits[static_cast<std::size_t>(deletion)];
   if (verdict.accepted) verdict.key = canon.canonical.key64();
   return verdict;
+}
+
+/// The census at total edge cost tau evaluated record by record: each
+/// topology's own interval membership, added with multiplicity 1, no
+/// profile binning. The independent reference for evaluate_census, and so
+/// for census_sweep and stream_poa_curve. Requires finite tau > 0.
+inline census_point reference_census_point(
+    int n, const std::vector<census_graph_record>& records,
+    const rational& tau) {
+  const rational alpha_bcg = rational::make(tau.num, 2 * tau.den);
+  census_point point;
+  point.tau = tau.to_double();
+  point.alpha_bcg = point.tau / 2.0;
+  point.alpha_ucg = point.tau;
+  const double opt_bcg = optimal_social_cost(
+      connection_game{n, point.alpha_bcg, link_rule::bilateral});
+  const double opt_ucg = optimal_social_cost(
+      connection_game{n, point.alpha_ucg, link_rule::unilateral});
+  equilibrium_accumulator bcg;
+  equilibrium_accumulator ucg;
+  for (const census_graph_record& record : records) {
+    const double social = point.tau * record.edges +
+                          static_cast<double>(record.distance_total);
+    if (record.bcg_interval.contains(alpha_bcg)) {
+      bcg.add(social / opt_bcg, record.edges, record.distance_total, 1);
+    }
+    if (record.ucg.contains(tau)) {
+      ucg.add(social / opt_ucg, record.edges, record.distance_total, 1);
+    }
+  }
+  point.bcg = bcg.stats(point.tau, opt_bcg);
+  point.ucg = ucg.stats(point.tau, opt_ucg);
+  return point;
 }
 
 }  // namespace bnf::testing

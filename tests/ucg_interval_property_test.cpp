@@ -7,6 +7,8 @@
 // built here from the definition alone.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "graph/paths.hpp"
 #include "testing.hpp"
 #include "util/bitops.hpp"
+#include "util/rational.hpp"
 #include "util/rng.hpp"
 
 namespace bnf {
@@ -239,6 +242,59 @@ TEST(UcgIntervalPropertyTest, IntervalIsIsomorphismInvariant) {
     const graph h = g.permuted(perm);
     ASSERT_EQ(ucg_nash_alpha_region(g).region, ucg_nash_alpha_region(h).region)
         << to_string(g);
+  }
+}
+
+// The per-alpha search at each positive finite endpoint of every region
+// component and one ulp either side; membership must agree exactly (the
+// search has no tie slack). Returns the number of endpoints probed.
+int expect_endpoints_match_search(const graph& g) {
+  const alpha_interval_set region = ucg_nash_alpha_region(g).region;
+  int endpoints = 0;
+  for (const alpha_interval& part : region.parts()) {
+    for (const rational& endpoint : {part.lo, part.hi}) {
+      if (endpoint.is_infinite() || endpoint.num <= 0) continue;
+      ++endpoints;
+      const double at = endpoint.to_double();
+      for (const double alpha :
+           {std::nextafter(at, 0.0), at, std::nextafter(at, at + 1.0)}) {
+        EXPECT_EQ(region.contains(alpha), is_ucg_nash(g, alpha))
+            << to_string(g) << " region " << to_string(region)
+            << " alpha=" << alpha;
+      }
+    }
+  }
+  return endpoints;
+}
+
+TEST(UcgIntervalPropertyTest, RegionEndpointsMatchSearchOnSampledShards) {
+  // The exhaustive checks above stop at n = 6 (n = 7 for the unpruned
+  // reference). Beyond them, seeded shards of the census's 128-way plan
+  // (drawn with replacement; at n = 7 most shards are empty): every class
+  // of the drawn shards at n = 7 and 8, one in two at n = 9, one in 64 of
+  // one shard at n = 10.
+  struct sample {
+    int n;
+    int shards;
+    std::uint64_t one_in;
+  };
+  rng random = testing::seeded_rng();
+  for (const sample& s : {sample{7, 128, 1}, sample{8, 16, 1}, sample{9, 2, 2},
+                          sample{10, 1, 64}}) {
+    SCOPED_TRACE("n=" + std::to_string(s.n));
+    const enumeration_plan plan(s.n, 128);
+    int classes = 0;
+    int endpoints = 0;
+    for (int pick = 0; pick < s.shards; ++pick) {
+      plan.for_each_key(random.below(128), [&](std::uint64_t key) {
+        if (random.below(s.one_in) != 0) return;
+        endpoints +=
+            expect_endpoints_match_search(graph::from_key64(s.n, key));
+        ++classes;
+      });
+    }
+    EXPECT_GT(classes, 800);
+    EXPECT_GT(endpoints, 500);
   }
 }
 
