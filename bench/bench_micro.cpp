@@ -130,6 +130,28 @@ void BM_ProfileTopology(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileTopology)->Unit(benchmark::kMillisecond);
 
+void BM_ProfileTopologyN10(benchmark::State& state) {
+  // Both games' profiles over one fixed shard of the engine's 128-way
+  // n = 10 census, as the census loop runs them (decode, then profile),
+  // with the shard's keys collected once outside the timed loop.
+  static const std::vector<std::uint64_t> keys = [] {
+    const bnf::enumeration_plan plan(10, 128, {.threads = 1});
+    std::vector<std::uint64_t> shard;
+    plan.for_each_key(17, [&](std::uint64_t key) { shard.push_back(key); });
+    return shard;
+  }();
+  bnf::ucg_region_workspace scratch;
+  for (auto _ : state) {
+    for (const std::uint64_t key : keys) {
+      benchmark::DoNotOptimize(bnf::profile_topology(
+          bnf::graph::from_key64(10, key), true, {}, scratch));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_ProfileTopologyN10)->Unit(benchmark::kMillisecond);
+
 void BM_UcgBestResponse(benchmark::State& state) {
   const bnf::graph g = bnf::petersen();
   for (auto _ : state) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "gen/enumerate.hpp"
 #include "obs/metrics.hpp"
@@ -20,12 +21,19 @@ topology_profile profile_topology(const graph& g, bool include_ucg,
                                   ucg_region_workspace& scratch) {
   topology_profile profile;
   profile.edges = g.size();
-  const bcg_summary bcg = bcg_profile(g);
+  // One BFS per vertex serves both games.
+  const distance_balls balls(g);
+  const bcg_summary bcg = bcg_profile(g, balls);
   profile.distance_total = bcg.distance_total;
   profile.bcg_interval = bcg.window;
   profile.bcg_fallback_bfs = bcg.fallback_bfs;
   if (include_ucg) {
-    profile.ucg = ucg_nash_alpha_region(g, ucg_clamp, scratch).region;
+    ucg_region_result ucg =
+        ucg_nash_alpha_region(g, balls, ucg_clamp, scratch);
+    profile.ucg = std::move(ucg.region);
+    profile.ucg_player_intervals = ucg.player_intervals_computed;
+    profile.ucg_orientations = ucg.orientations_tried;
+    profile.ucg_bfs = ucg.bfs_evaluations;
   }
   return profile;
 }
@@ -132,6 +140,11 @@ profile_histogram build_profile_histogram(
       obs::get_counter(obs::names::topologies_profiled);
   obs::counter& bcg_fallback_bfs =
       obs::get_counter(obs::names::bcg_fallback_bfs);
+  obs::counter& ucg_player_intervals =
+      obs::get_counter(obs::names::ucg_player_intervals);
+  obs::counter& ucg_orientations =
+      obs::get_counter(obs::names::ucg_orientations);
+  obs::counter& ucg_bfs = obs::get_counter(obs::names::ucg_bfs);
   obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_ms);
   obs::histogram& shard_sizes =
       obs::get_histogram(obs::names::shard_topologies);
@@ -150,18 +163,28 @@ profile_histogram build_profile_histogram(
       stopwatch shard_timer;
       shard_map& bins = shard_bins[shard];
       std::uint64_t fallback_bfs = 0;
+      std::uint64_t player_intervals = 0;
+      std::uint64_t orientations = 0;
+      std::uint64_t region_bfs = 0;
       shard_topologies[shard] =
           plan.for_each_key(shard, [&](std::uint64_t key) {
             const graph g = graph::from_key64(n, key);
             const topology_profile profile = profile_topology(
                 g, options.include_ucg, options.ucg_clamp, scratch);
             fallback_bfs += static_cast<std::uint64_t>(profile.bcg_fallback_bfs);
+            player_intervals +=
+                static_cast<std::uint64_t>(profile.ucg_player_intervals);
+            orientations += static_cast<std::uint64_t>(profile.ucg_orientations);
+            region_bfs += static_cast<std::uint64_t>(profile.ucg_bfs);
             ++bins[key_of(profile)];
           });
       span.arg("topologies", shard_topologies[shard]);
       shards_done.add(1);
       topologies_profiled.add(shard_topologies[shard]);
       bcg_fallback_bfs.add(fallback_bfs);
+      ucg_player_intervals.add(player_intervals);
+      ucg_orientations.add(orientations);
+      ucg_bfs.add(region_bfs);
       shard_wall.record(
           static_cast<std::uint64_t>(shard_timer.seconds() * 1000.0));
       shard_sizes.record(shard_topologies[shard]);

@@ -32,9 +32,14 @@ struct topology_profile {
   /// Exact UCG Nash region (alpha_UCG units). Empty when include_ucg was
   /// false.
   alpha_interval_set ucg;
-  /// Work tally, not part of the profile's identity: the BFS the BCG
-  /// window spent on edges in no triangle (bcg_summary::fallback_bfs).
+  /// Work tallies, not part of the profile's identity: the BFS the BCG
+  /// window spent on edges in no triangle (bcg_summary::fallback_bfs),
+  /// and the UCG region search's ucg_region_result counts (zero without
+  /// UCG).
   int bcg_fallback_bfs{0};
+  long long ucg_player_intervals{0};
+  long long ucg_orientations{0};
+  long long ucg_bfs{0};
 };
 
 /// Profile one connected topology. `ucg_clamp` restricts the UCG region

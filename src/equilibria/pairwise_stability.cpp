@@ -95,35 +95,58 @@ long long deletion_increase_by_bfs(const graph& g, const distance_balls& balls,
 
 }  // namespace
 
-long long ball_addition_decrease(const graph& g, const distance_balls& balls,
-                                 int a, int b) {
+int single_link_deltas(const graph& g, const distance_balls& balls,
+                       link_change change, std::span<long long> out) {
   expects(balls.connected() && balls.order() == g.order(),
-          "ball_addition_decrease: requires the balls of a connected g");
-  expects(a != b && !g.has_edge(a, b),
-          "ball_addition_decrease: (a,b) must be a non-edge");
-  return addition_savings(balls, a, b).first;
-}
-
-long long ball_deletion_increase(const graph& g, const distance_balls& balls,
-                                 int a, int b) {
-  expects(balls.connected() && balls.order() == g.order(),
-          "ball_deletion_increase: requires the balls of a connected g");
-  expects(g.has_edge(a, b), "ball_deletion_increase: (a,b) must be an edge");
-  if ((g.neighbors(a) & g.neighbors(b)) == 0) {
-    return deletion_increase_by_bfs(g, balls, a, b);
-  }
+          "single_link_deltas: requires the balls of a connected g");
+  const int n = g.order();
+  expects(out.size() >= static_cast<std::size_t>(n) * n,
+          "single_link_deltas: out must hold n * n entries");
+  const auto at = [&](int a, int b) -> long long& {
+    return out[static_cast<std::size_t>(a * n + b)];
+  };
+  int fallback_bfs = 0;
   std::array<std::uint64_t, max_vertices> closer{};
-  const std::uint64_t twice = closer_sets(g, balls, a, closer);
-  return popcount(closer[static_cast<std::size_t>(b)] & ~twice);
+  for (int a = 0; a < n; ++a) {
+    const std::uint64_t row = g.neighbors(a);
+    if (change == link_change::addition) {
+      // One fused call per missing link fills both endpoints.
+      for_each_bit(g.vertex_mask() & ~row & ~low_bits(a + 1), [&](int b) {
+        const auto [saving_a, saving_b] = addition_savings(balls, a, b);
+        at(a, b) = saving_a;
+        at(b, a) = saving_b;
+      });
+      continue;
+    }
+    std::uint64_t in_triangle = 0;
+    for_each_bit(row, [&](int b) {
+      if ((g.neighbors(b) & row) != 0) in_triangle |= bit(b);
+    });
+    if (in_triangle != 0) {
+      const std::uint64_t twice = closer_sets(g, balls, a, closer);
+      for_each_bit(in_triangle, [&](int b) {
+        at(a, b) = popcount(closer[static_cast<std::size_t>(b)] & ~twice);
+      });
+    }
+    for_each_bit(row & ~in_triangle, [&](int b) {
+      ++fallback_bfs;
+      at(a, b) = deletion_increase_by_bfs(g, balls, a, b);
+    });
+  }
+  return fallback_bfs;
 }
 
 bcg_summary bcg_profile(const graph& g) {
+  return bcg_profile(g, distance_balls(g));
+}
+
+bcg_summary bcg_profile(const graph& g, const distance_balls& balls) {
   // One BFS per vertex yields every ball; the identities in the header
   // turn them into the distance total, every addition saving and every
   // deletion increase of an edge in a triangle.
-  const distance_balls balls(g);
   expects(balls.connected(),
           "compute_stability_record: requires a connected graph");
+  expects(balls.order() == g.order(), "bcg_profile: balls of another graph");
   const int n = g.order();
   bcg_summary summary;
   summary.distance_total = balls.total();

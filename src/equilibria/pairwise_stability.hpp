@@ -36,14 +36,19 @@
 //     increase(a; ab) = |closer(a,b) \ twice(a)|.
 //
 // An edge in no triangle falls back to one row-replacement BFS per
-// endpoint (distance_sum_with_row); a bridge settles at its first BFS
-// with infinite_delta. Severing ab moves b itself away from a, so no
-// increase is below 1: the triangle edges go first, and the fallback runs
-// only while they leave alpha_max above 1. The distance total is the sum
-// of the base BFS.
+// endpoint (distance_sum_with_row); a bridge gives infinite_delta.
+//
+// Both games read the identities. The BCG window (bcg_profile) needs only
+// the binding deltas: severing ab moves b itself away from a, so no
+// increase is below 1, the triangle edges go first, the fallback runs
+// only while they leave alpha_max above 1, and a bridge settles at its
+// first BFS. The distance total is the sum of the base BFS. The UCG region
+// search needs every delta, and single_link_deltas fills them all from
+// the same balls.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "equilibria/alpha_interval.hpp"
@@ -99,21 +104,28 @@ struct bcg_summary {
 /// compute_stability_record plus the distance total from the same BFS
 /// balls (requires connected g).
 [[nodiscard]] bcg_summary bcg_profile(const graph& g);
+/// Same, from balls the caller already built: `balls` must be
+/// distance_balls(g), so one set serves both games (analysis/
+/// topology_profile hands it to the UCG region search too).
+[[nodiscard]] bcg_summary bcg_profile(const graph& g,
+                                      const distance_balls& balls);
 
-/// One delta at a time, through the helpers compute_stability_record
-/// applies in bulk: equal to edge_addition_decrease and
-/// edge_deletion_increase, and there to cross-check the identities link
-/// by link. `balls` must be distance_balls(g) of a connected g.
-/// Saving of a from adding (a,b). Requires (a,b) not in E, a != b.
-[[nodiscard]] long long ball_addition_decrease(const graph& g,
-                                               const distance_balls& balls,
-                                               int a, int b);
-/// Increase to a from severing (a,b): the triangle identity when a and b
-/// share a neighbour, else one row-replacement BFS (infinite_delta for a
-/// bridge). Requires (a,b) in E.
-[[nodiscard]] long long ball_deletion_increase(const graph& g,
-                                               const distance_balls& balls,
-                                               int a, int b);
+/// Which single-link deviation single_link_deltas measures.
+enum class link_change { addition, severance };
+
+/// The single-link deltas of every ordered pair of a connected g, read off
+/// `balls` (distance_balls(g)) by the identities above into the row-major
+/// n * n table `out`. For link_change::addition, out[a*n+b] is a's saving
+/// from adding the missing link ab; for link_change::severance, it is a's
+/// increase from severing the edge ab, infinite_delta for a bridge. The
+/// entries of the other kind, and the diagonal, are left as they are.
+/// Returns the row-replacement BFS spent: one per endpoint of every edge
+/// in no triangle (none for additions). The BCG window reads the same
+/// identities through bcg_profile, which stops early instead of filling
+/// the table; the UCG region search (equilibria/ucg_nash.hpp) seeds its
+/// root window and every player's content interval from this table.
+int single_link_deltas(const graph& g, const distance_balls& balls,
+                       link_change change, std::span<long long> out);
 
 /// Identity, kept only because perfbench/measure.cpp still calls
 /// to_alpha_interval(compute_stability_record(g)) and perfbench/ stays

@@ -250,9 +250,8 @@ struct ucg_region_workspace::state {
   std::vector<std::array<alpha_interval, 2>> buyer_window;  // per edge side
   std::vector<std::uint64_t> paid;                  // per-player paid mask
   std::vector<int> unassigned_incident;             // per-player countdown
-  std::vector<long long> base_distance;             // distsum_i(G)
   std::vector<rational> addition_lb;                // max single-add saving
-  std::vector<long long> severance;                 // [i*n+v] single-cut cost
+  std::vector<long long> delta;  // [i*n+v] single-link saving or increase
   std::unordered_map<std::uint64_t, alpha_interval> content_memo;
   alpha_interval_set region;
 };
@@ -268,9 +267,11 @@ namespace {
 
 struct interval_search {
   const graph& g;
+  const distance_balls& balls;
   ucg_region_workspace::state& s;
   long long player_intervals{0};
   long long orientations_tried{0};
+  long long bfs_evaluations{0};
 
   alpha_interval content_interval(int i) {
     const std::uint64_t mask = s.paid[static_cast<std::size_t>(i)];
@@ -291,7 +292,7 @@ struct interval_search {
     seed.lo_closed = seed.lo.num > 0;
     const int n = g.order();
     for_each_bit(mask, [&](int v) {
-      const long long inc = s.severance[static_cast<std::size_t>(i * n + v)];
+      const long long inc = s.delta[static_cast<std::size_t>(i * n + v)];
       if (inc < infinite_delta &&
           (seed.hi.is_infinite() || inc < seed.hi.num)) {
         seed.hi = rational::from_int(inc);
@@ -302,7 +303,7 @@ struct interval_search {
         seed.empty() ? alpha_interval::empty_interval()
                      : player_content_interval(
                            g, i, g.neighbors(i) & ~mask, popcount(mask),
-                           s.base_distance[static_cast<std::size_t>(i)], seed);
+                           balls.sum(i), seed, &bfs_evaluations);
     s.content_memo.emplace(key, window);
     return window;
   }
@@ -357,8 +358,17 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
 ucg_region_result ucg_nash_alpha_region(const graph& g,
                                         const alpha_interval& within,
                                         ucg_region_workspace& scratch) {
+  return ucg_nash_alpha_region(g, distance_balls(g), within, scratch);
+}
+
+ucg_region_result ucg_nash_alpha_region(const graph& g,
+                                        const distance_balls& balls,
+                                        const alpha_interval& within,
+                                        ucg_region_workspace& scratch) {
   expects(g.order() >= 1 && g.order() <= 16,
           "ucg_nash_alpha_region: guard n <= 16 (exact search)");
+  expects(balls.order() == g.order(),
+          "ucg_nash_alpha_region: balls of another graph");
   region_search_counter().add(1);
   ucg_region_result result;
   if (g.order() == 1) {
@@ -366,7 +376,7 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
     result.region.add(within);
     return result;
   }
-  if (!is_connected(g) || within.empty()) return result;
+  if (!balls.connected() || within.empty()) return result;
 
   const int n = g.order();
   ucg_region_workspace::state& s = *scratch.state_;
@@ -378,19 +388,13 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
   s.buyer_window.clear();
   s.content_memo.clear();
   s.region.clear();
-  interval_search search{g, s, 0, 0};
-  s.addition_lb.assign(static_cast<std::size_t>(n), rational{0, 1});
-  s.severance.assign(static_cast<std::size_t>(n) * n, infinite_delta);
-  s.base_distance.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    s.base_distance[static_cast<std::size_t>(v)] = distance_sum(g, v).sum;
-  }
-  // Single-flip deltas via the row-replacement BFS: toggling one of i's
-  // incident links only changes i's own row, so no graph copies and no
-  // re-derived base sums are needed (the stale reverse bit in the other
-  // endpoint's row cannot shorten any path from i).
-  const auto single_flip_sum = [&](int i, std::uint64_t row) {
-    return distance_sum_with_row(g, i, row);
+  interval_search search{g, balls, s, 0, 0, 0};
+  // Single-link deltas read off the balls (equilibria/pairwise_stability
+  // .hpp): additions and triangle-edge severances in popcounts, one
+  // row-replacement BFS per endpoint of an edge in no triangle.
+  s.delta.resize(static_cast<std::size_t>(n) * n);
+  const auto delta = [&](int a, int b) {
+    return s.delta[static_cast<std::size_t>(a * n + b)];
   };
 
   // Root window from the paper's fast checks, now as exact rationals:
@@ -398,23 +402,13 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
   // are unilateral), and every edge needs some endpoint whose severance
   // saving does not exceed alpha.
   alpha_interval root = within;
-  for (int u = 0; u < n; ++u) {
-    const std::uint64_t missing =
-        g.vertex_mask() & ~low_bits(u + 1) & ~g.neighbors(u);
-    for_each_bit(missing, [&](int v) {
-      for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
-        const auto [sum, unreached] =
-            single_flip_sum(a, g.neighbors(a) | bit(b));
-        ensures(unreached == 0,
-                "ucg_nash_alpha_region: connected precondition");
-        const long long dec =
-            s.base_distance[static_cast<std::size_t>(a)] - sum;
-        auto& lb = s.addition_lb[static_cast<std::size_t>(a)];
-        if (dec > lb.num) lb = rational::from_int(dec);
-      }
+  single_link_deltas(g, balls, link_change::addition, s.delta);
+  s.addition_lb.assign(static_cast<std::size_t>(n), rational{0, 1});
+  for (int a = 0; a < n; ++a) {
+    auto& lb = s.addition_lb[static_cast<std::size_t>(a)];
+    for_each_bit(g.vertex_mask() & ~bit(a) & ~g.neighbors(a), [&](int b) {
+      if (delta(a, b) > lb.num) lb = rational::from_int(delta(a, b));
     });
-  }
-  for (const rational& lb : s.addition_lb) {
     // Any player's single-addition bound applies to every orientation.
     if (lb.num > 0 && compare(lb, root.lo) > 0) {
       root.lo = lb;
@@ -423,6 +417,8 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
   }
   if (root.empty()) return result;
 
+  result.bfs_evaluations =
+      single_link_deltas(g, balls, link_change::severance, s.delta);
   s.buyer_window.reserve(s.edges.size());
   for (const auto& [u, v] : s.edges) {
     // A buyer tolerates its own single-link severance only while
@@ -431,15 +427,7 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
     rational loosest{0, 1};
     bool loosest_infinite = false;
     for (int side = 0; side < 2; ++side) {
-      const int buyer = side == 0 ? u : v;
-      const int other = side == 0 ? v : u;
-      const auto [sum, unreached] =
-          single_flip_sum(buyer, g.neighbors(buyer) & ~bit(other));
-      const long long inc =
-          unreached > 0
-              ? infinite_delta
-              : sum - s.base_distance[static_cast<std::size_t>(buyer)];
-      s.severance[static_cast<std::size_t>(buyer * n + other)] = inc;
+      const long long inc = side == 0 ? delta(u, v) : delta(v, u);
       if (inc < infinite_delta) {
         windows[static_cast<std::size_t>(side)].hi = rational::from_int(inc);
         if (!loosest_infinite && inc > loosest.num) {
@@ -468,6 +456,7 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
   result.region = s.region;  // leave the arena intact for reuse
   result.player_intervals_computed = search.player_intervals;
   result.orientations_tried = search.orientations_tried;
+  result.bfs_evaluations += search.bfs_evaluations;
   return result;
 }
 

@@ -18,6 +18,11 @@
 //             link must save each endpoint at most alpha;
 //   filter 2: every edge needs a tolerant buyer — an endpoint whose
 //             single-link severance saving does not exceed alpha;
+//             the region search reads both filters' deltas off the BFS
+//             balls the BCG window uses (single_link_deltas in
+//             equilibria/pairwise_stability.hpp), while the per-alpha
+//             checker keeps their direct BFS definitions, so each
+//             cross-checks the other;
 //   search:   backtracking over buyer orientations, checking each player's
 //             exact best response as soon as all its incident edges are
 //             assigned, memoized per (player, paid-set). A deviation's
@@ -47,6 +52,7 @@
 
 #include "equilibria/alpha_interval.hpp"
 #include "graph/graph.hpp"
+#include "graph/paths.hpp"
 
 namespace bnf {
 
@@ -97,6 +103,9 @@ struct ucg_region_result {
   alpha_interval_set region;
   long long player_intervals_computed{0};
   long long orientations_tried{0};
+  /// Row-replacement BFS spent: the setup's severance fallback (edges in
+  /// no triangle) plus the deviation sums of the content intervals.
+  long long bfs_evaluations{0};
 };
 /// Reusable scratch for the region search: the DFS state (edge windows,
 /// paid masks, the per-(player, paid-set) content-interval memo, and the
@@ -117,6 +126,7 @@ class ucg_region_workspace {
 
  private:
   friend ucg_region_result ucg_nash_alpha_region(const graph&,
+                                                 const distance_balls&,
                                                  const alpha_interval&,
                                                  ucg_region_workspace&);
   std::unique_ptr<state> state_;
@@ -133,6 +143,12 @@ class ucg_region_workspace {
 /// for the census and streaming-curve loops).
 [[nodiscard]] ucg_region_result ucg_nash_alpha_region(
     const graph& g, const alpha_interval& within,
+    ucg_region_workspace& scratch);
+/// The search itself, from balls the caller already built: `balls` must
+/// be distance_balls(g). The overloads above build them;
+/// analysis/topology_profile shares one set with the BCG window.
+[[nodiscard]] ucg_region_result ucg_nash_alpha_region(
+    const graph& g, const distance_balls& balls, const alpha_interval& within,
     ucg_region_workspace& scratch);
 
 /// The Nash region as a single exact interval. For every graph the

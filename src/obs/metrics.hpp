@@ -268,6 +268,14 @@ inline constexpr const char* bcg_fallback_bfs = "equilibria.bcg.fallback_bfs";
 /// on).
 inline constexpr const char* region_searches =
     "equilibria.ucg.region_searches";
+/// UCG region search work, flushed per shard with topologies_profiled:
+/// (player, paid-set) content intervals computed, orientation-search
+/// nodes visited, and row-replacement BFS (setup severance fallback plus
+/// content-interval deviation sums).
+inline constexpr const char* ucg_player_intervals =
+    "equilibria.ucg.player_intervals";
+inline constexpr const char* ucg_orientations = "equilibria.ucg.orientations";
+inline constexpr const char* ucg_bfs = "equilibria.ucg.bfs";
 /// Per-alpha Nash searches — the interval-driven sweeps pin the delta of
 /// this counter to ZERO (see tests/census_test.cpp).
 inline constexpr const char* nash_searches =

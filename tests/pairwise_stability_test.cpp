@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gen/enumerate.hpp"
@@ -142,38 +144,52 @@ struct deletion_paths {
   int bridge{0};    // row-replacement BFS, infinite
 };
 
-// Every ordered single-link delta read off the balls must equal the
-// direct BFS definition.
+// Every ordered single-link delta that single_link_deltas reads off the
+// balls must equal the direct BFS definition, and each kind must leave the
+// other kind's entries and the diagonal alone.
 void expect_ball_deltas_match(const graph& g, deletion_paths& seen) {
   const distance_balls balls(g);
+  const int n = g.order();
+  constexpr long long untouched = -1;
+  std::vector<long long> deltas(static_cast<std::size_t>(n) * n, untouched);
+  const auto at = [&](int a, int b) {
+    return deltas[static_cast<std::size_t>(a * n + b)];
+  };
+  ASSERT_EQ(single_link_deltas(g, balls, link_change::addition, deltas), 0);
   for (const auto& [u, v] : g.non_edges()) {
-    ASSERT_EQ(ball_addition_decrease(g, balls, u, v),
-              edge_addition_decrease(g, u, v))
+    ASSERT_EQ(at(u, v), edge_addition_decrease(g, u, v))
         << to_string(g) << " add " << u << "," << v;
-    ASSERT_EQ(ball_addition_decrease(g, balls, v, u),
-              edge_addition_decrease(g, v, u))
+    ASSERT_EQ(at(v, u), edge_addition_decrease(g, v, u))
         << to_string(g) << " add " << v << "," << u;
   }
   for (const auto& [u, v] : g.edges()) {
+    ASSERT_EQ(at(u, v), untouched) << to_string(g);
+    ASSERT_EQ(at(v, u), untouched) << to_string(g);
+  }
+  const int fallback_bfs =
+      single_link_deltas(g, balls, link_change::severance, deltas);
+  int triangle_free_edges = 0;
+  for (const auto& [u, v] : g.edges()) {
     if ((g.neighbors(u) & g.neighbors(v)) != 0) {
       ++seen.triangle;
-    } else if (is_bridge(g, u, v)) {
-      ++seen.bridge;
     } else {
-      ++seen.fallback;
+      ++triangle_free_edges;
+      ++(is_bridge(g, u, v) ? seen.bridge : seen.fallback);
     }
-    ASSERT_EQ(ball_deletion_increase(g, balls, u, v),
-              edge_deletion_increase(g, u, v))
+    ASSERT_EQ(at(u, v), edge_deletion_increase(g, u, v))
         << to_string(g) << " cut " << u << "," << v;
-    ASSERT_EQ(ball_deletion_increase(g, balls, v, u),
-              edge_deletion_increase(g, v, u))
+    ASSERT_EQ(at(v, u), edge_deletion_increase(g, v, u))
         << to_string(g) << " cut " << v << "," << u;
   }
+  // One BFS per endpoint of an edge in no triangle, bridges included.
+  ASSERT_EQ(fallback_bfs, 2 * triangle_free_edges) << to_string(g);
+  for (int v = 0; v < n; ++v) ASSERT_EQ(at(v, v), untouched);
 }
 
 TEST(PairwiseStabilityTest, BallDeltasMatchDirectDefinitionsOnAllSmallGraphs) {
   // The record exposes only the binding deltas, so check each one: every
-  // connected graph on 2..7 vertices, every ordered pair.
+  // connected graph on 2..7 vertices and K_3..K_12 (every edge in a
+  // triangle), every ordered pair.
   deletion_paths seen;
   int graphs = 0;
   for (int n = 2; n <= 7; ++n) {
@@ -189,18 +205,60 @@ TEST(PairwiseStabilityTest, BallDeltasMatchDirectDefinitionsOnAllSmallGraphs) {
   EXPECT_GT(seen.triangle, 0);
   EXPECT_GT(seen.fallback, 0);
   EXPECT_GT(seen.bridge, 0);
+  for (int n = 3; n <= 12; ++n) {
+    deletion_paths clique;
+    expect_ball_deltas_match(complete(n), clique);
+    EXPECT_EQ(clique.triangle, n * (n - 1) / 2);
+    EXPECT_EQ(clique.fallback + clique.bridge, 0);
+  }
+}
+
+TEST(PairwiseStabilityTest, BallDeltasMatchDirectDefinitionsOnSampledShards) {
+  // Seeded shards of the census's fixed 128-way plan (drawn with
+  // replacement): sixteen whole shards at n = 8, two at n = 9, and one in
+  // sixteen classes of one shard at n = 10.
+  struct sample {
+    int n;
+    int shards;
+    std::uint64_t one_in;
+  };
+  rng random = testing::seeded_rng();
+  for (const sample& s :
+       {sample{8, 16, 1}, sample{9, 2, 1}, sample{10, 1, 16}}) {
+    SCOPED_TRACE("n=" + std::to_string(s.n));
+    const enumeration_plan plan(s.n, 128);
+    deletion_paths seen;
+    int classes = 0;
+    for (int pick = 0; pick < s.shards; ++pick) {
+      plan.for_each_key(random.below(128), [&](std::uint64_t key) {
+        if (random.below(s.one_in) != 0) return;
+        expect_ball_deltas_match(graph::from_key64(s.n, key), seen);
+        ++classes;
+      });
+    }
+    EXPECT_GT(classes, 500);
+    EXPECT_GT(seen.triangle, 0);
+    EXPECT_GT(seen.fallback, 0);
+    EXPECT_GT(seen.bridge, 0);
+  }
 }
 
 TEST(PairwiseStabilityTest, TriangleFreeGraphsTakeTheFallbackEverywhere) {
   // No edge of these graphs lies in a triangle, so every deletion delta
-  // comes from the row-replacement BFS: Petersen, cycles, K_{3,3}, trees
-  // and Hoffman-Singleton (n = 50).
+  // comes from the row-replacement BFS: Petersen, cycles, K_{3,3}, every
+  // tree on 2..10 vertices, seeded random trees and Hoffman-Singleton
+  // (n = 50).
   std::vector<graph> graphs = {petersen(), complete_bipartite(3, 3),
-                               hoffman_singleton(), path(9), star(7)};
-  for (int n = 4; n <= 12; ++n) graphs.push_back(cycle(n));
+                               hoffman_singleton()};
+  for (int n = 4; n <= 16; ++n) graphs.push_back(cycle(n));
+  for (int n = 2; n <= 10; ++n) {
+    for_each_graph(
+        n, [&](const graph& tree) { graphs.push_back(tree); },
+        {.connected_only = true, .forests_only = true});
+  }
   rng random = testing::seeded_rng();
   for (int trial = 0; trial < 10; ++trial) {
-    graphs.push_back(random_tree(10, random));
+    graphs.push_back(random_tree(16, random));
   }
   for (const graph& g : graphs) {
     deletion_paths seen;
@@ -223,9 +281,21 @@ TEST(PairwiseStabilityTest, RecordRequiresConnectedGraph) {
                precondition_error);
   const graph split(4, {{0, 1}, {2, 3}});
   const distance_balls balls(split);
-  EXPECT_THROW((void)ball_addition_decrease(split, balls, 0, 2),
+  std::vector<long long> deltas(16);
+  EXPECT_THROW((void)bcg_profile(split, balls), precondition_error);
+  EXPECT_THROW(
+      (void)single_link_deltas(split, balls, link_change::addition, deltas),
+      precondition_error);
+  EXPECT_THROW(
+      (void)single_link_deltas(split, balls, link_change::severance, deltas),
+      precondition_error);
+  // Balls of another graph, or a table too small for n * n entries.
+  const graph joined = path(4);
+  EXPECT_THROW((void)bcg_profile(joined, distance_balls(path(5))),
                precondition_error);
-  EXPECT_THROW((void)ball_deletion_increase(split, balls, 0, 1),
+  std::vector<long long> small(15);
+  EXPECT_THROW((void)single_link_deltas(joined, distance_balls(joined),
+                                        link_change::addition, small),
                precondition_error);
 }
 

@@ -4,11 +4,12 @@
 // be exactly the census records grouped by profile, the grid sweep must
 // equal a record-by-record evaluation bit for bit, and neither the
 // histogram nor the fig2/fig3 tables rendered from it may depend on the
-// thread count.
+// thread count. The work counters of the n = 8 histogram are pinned.
 #include "analysis/topology_profile.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "gen/enumerate.hpp"
+#include "obs/metrics.hpp"
 #include "testing.hpp"
 #include "util/contracts.hpp"
 
@@ -151,6 +153,25 @@ TEST(ProfileHistogramTest, ThreadCountsProduceTheSameBins) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_same_histogram(one,
                           build_profile_histogram(7, {.threads = threads}));
+  }
+}
+
+TEST(ProfileHistogramTest, Order8WorkCountersArePinned) {
+  // The search's own work, flushed per shard: a change to any single-link
+  // delta that seeds the region search (an addition saving or a
+  // severance increase) moves these counters before it moves a result.
+  const char* const names[] = {obs::names::region_searches,
+                               obs::names::ucg_player_intervals,
+                               obs::names::ucg_orientations,
+                               obs::names::ucg_bfs,
+                               obs::names::bcg_fallback_bfs};
+  const std::uint64_t expected[] = {11117, 69729, 77068, 84540, 4940};
+  std::uint64_t before[5];
+  for (int i = 0; i < 5; ++i) before[i] = obs::get_counter(names[i]).value();
+  EXPECT_EQ(build_profile_histogram(8, {.threads = 1}).topologies, 11117U);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(obs::get_counter(names[i]).value() - before[i], expected[i])
+        << names[i];
   }
 }
 

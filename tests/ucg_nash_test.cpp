@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "equilibria/pairwise_stability.hpp"
 #include "gen/enumerate.hpp"
 #include "gen/named.hpp"
@@ -79,6 +81,41 @@ TEST(UcgNashTest, SingletonAndTinyGraphs) {
   EXPECT_TRUE(is_ucg_nash(graph(1), 1.0));
   EXPECT_TRUE(is_ucg_nash(complete(2), 5.0));  // the only connected n=2 graph
   EXPECT_FALSE(is_ucg_nash(graph(2), 1.0));    // disconnected
+}
+
+TEST(UcgNashTest, TinyAndDisconnectedRegionsThroughTheBalls) {
+  ucg_region_workspace scratch;
+  const auto region_of = [&](const graph& g, const alpha_interval& within) {
+    return ucg_nash_alpha_region(g, distance_balls(g), within, scratch);
+  };
+  const alpha_interval full{};
+  const alpha_interval clamp{rational::from_int(1), rational::from_int(2),
+                             true, false};
+  // K1: a lone player is Nash at any cost, so the region is the clamp.
+  EXPECT_EQ(region_of(graph(1), full).region.parts(),
+            std::vector<alpha_interval>{full});
+  EXPECT_EQ(region_of(graph(1), clamp).region.parts(),
+            std::vector<alpha_interval>{clamp});
+  EXPECT_EQ(region_of(graph(1), full).bfs_evaluations, 0);
+  // K2: the one link is a bridge, so no severance binds and nobody gains
+  // by adding; the setup spends one BFS per endpoint on it.
+  const ucg_region_result pair = region_of(complete(2), full);
+  EXPECT_EQ(pair.region.parts(), std::vector<alpha_interval>{full});
+  EXPECT_EQ(pair.region, ucg_nash_alpha_region(complete(2)).region);
+  EXPECT_GE(pair.bfs_evaluations, 2);
+  EXPECT_TRUE(is_ucg_nash(complete(2), 0.1));
+  EXPECT_TRUE(is_ucg_nash(complete(2), 100.0));
+  // Disconnected: never Nash, and the search does no work.
+  const ucg_region_result split = region_of(graph(4, {{0, 1}, {2, 3}}), full);
+  EXPECT_TRUE(split.region.empty());
+  EXPECT_EQ(split.player_intervals_computed, 0);
+  EXPECT_EQ(split.orientations_tried, 0);
+  EXPECT_EQ(split.bfs_evaluations, 0);
+  EXPECT_TRUE(region_of(graph(3), full).region.empty());
+  // The balls must be those of g.
+  EXPECT_THROW((void)ucg_nash_alpha_region(path(4), distance_balls(path(5)),
+                                           {}, scratch),
+               precondition_error);
 }
 
 TEST(UcgNashTest, BestResponseCostMatchesManualStar) {
